@@ -188,7 +188,6 @@ def _cmd_solve(args) -> int:
         delta=args.delta,
         coef_mode=args.coef_mode,
         time_budget=args.time_budget,
-        seed=args.seed,
     )
     gh_wall = 0.0
     if args.algo == "gh":
@@ -213,7 +212,6 @@ def _cmd_solve(args) -> int:
             "C": args.C,
             "delta": args.delta,
             "coef_mode": args.coef_mode,
-            "seed": args.seed,
             "selected": [j + 1 for j in solution.selected],
             "objective": float(f"{solution.objective:.12f}"),
             "phases": [
@@ -316,7 +314,7 @@ def _run_cell(task, args):
     for C in args.C:
         if C > m:
             raise ValueError(f"C={C} exceeds m={m} in grid cell {instance_id}")
-        cfg = SolverConfig(C=C, delta=args.delta, time_budget=args.time_budget, seed=seed)
+        cfg = SolverConfig(C=C, delta=args.delta, time_budget=args.time_budget)
         algos = ["gh", "ggx"]
         if args.bf_max and math.comb(m, C) <= args.bf_max:
             algos.append("bf")
@@ -427,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--coef-mode", choices=("gradient", "marginal"), default="gradient")
     solve.add_argument("--algo", choices=("gh", "ggx"), default="ggx")
     solve.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--stamp", action="store_true", help="include measured wall times")
     solve.set_defaults(func=_cmd_solve)

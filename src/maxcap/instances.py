@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice_models import ChoiceModel, MultinomialLogit, NestedLogit
-from .objective import Instance, Zone
+from .objective import Instance
 
 __all__ = [
     "GeneratorParams",
@@ -125,25 +125,20 @@ def _competitor_aggregate(c_comp: np.ndarray, beta: float, alpha: float) -> np.n
 
 def generate_euclidean(p: GeneratorParams, model: ChoiceModel) -> Instance:
     """Planar instance with competitor-normalized attractions, q = 1 per zone."""
-    model.check_dimension(p.locations)
     c_cand, c_comp = _geometry(p)
     u = _competitor_aggregate(c_comp, p.beta, p.alpha)
     y = _exp_utility(-p.beta * c_cand, "location") / u[:, None]
-    zones = [Zone(1.0, y[i]) for i in range(p.zones)]
-    return Instance(zones, model)
+    return Instance.from_arrays(np.ones(p.zones), y, model)
 
 
 def _mmnl_with_noise(p: GeneratorParams, theta: float, tau: np.ndarray) -> Instance:
     c_cand, c_comp = _geometry(p)
     u = _competitor_aggregate(c_comp, theta, p.alpha)
     k = tau.shape[1]
-    zones = []
-    for i in range(p.zones):
-        v = -theta * c_cand[i][None, :] + c_cand[i][None, :] * tau[i] / 3.0
-        y = _exp_utility(v, "location") / u[i]
-        for draw in range(k):
-            zones.append(Zone(1.0 / k, y[draw]))
-    return Instance(zones, MultinomialLogit())
+    c = c_cand[:, None, :]  # (zones, 1, m) against tau's (zones, K, m)
+    y = _exp_utility(-theta * c + c * tau / 3.0, "location") / u[:, None, None]
+    return Instance.from_arrays(np.full(p.zones * k, 1.0 / k), y.reshape(-1, p.locations),
+                                MultinomialLogit())
 
 
 def mmnl_expand(p: GeneratorParams, mp: MmnlParams) -> Instance:
@@ -199,22 +194,22 @@ def write_instance(inst: Instance, path) -> None:
         raise ValueError(f"unsupported model {model!r}")
     lines.append(f"m {inst.m}")
     lines.append(f"zones {inst.n_zones}")
-    lines.append("q " + " ".join(_fmt(z.q) for z in inst.zones))
+    lines.append("q " + " ".join(_fmt(v) for v in inst.q))
     lines.append("Y")
-    for z in inst.zones:
-        lines.append(" ".join(_fmt(v) for v in z.y))
+    for row in inst.Y:
+        lines.append(" ".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 class _Reader:
-    """Line cursor over an .mcp file; skips comments, reports 1-based line numbers."""
+    """Token cursor over an .mcp file's lines; skips comments, reports 1-based line numbers."""
 
     def __init__(self, path):
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().split("\n")
         self.rows = [
-            (n, line.strip())
+            (n, line)
             for n, line in enumerate(raw, start=1)
             if line.strip() and not line.lstrip().startswith("#")
         ]
@@ -226,7 +221,7 @@ class _Reader:
             raise FormatError(f"{self.path}: unexpected end of file, missing section '{section}'")
         n, line = self.rows[self.pos]
         self.pos += 1
-        return n, line
+        return n, line.split()
 
     def fail(self, lineno: int, message: str):
         raise FormatError(f"{self.path}:{lineno}: {message}")
@@ -245,15 +240,13 @@ def read_instance(path) -> Instance:
     """Parse an ``.mcp`` file; malformed input raises :class:`FormatError`."""
     reader = _Reader(path)
 
-    n, line = reader.next("header")
-    tokens = line.split()
+    n, tokens = reader.next("header")
     if len(tokens) != 2 or tokens[0] != "MCP":
         reader.fail(n, "expected header 'MCP 1'")
     if tokens[1] != "1":
         reader.fail(n, f"unsupported format version '{tokens[1]}'")
 
-    n, line = reader.next("model")
-    tokens = line.split()
+    n, tokens = reader.next("model")
     if not tokens or tokens[0] != "model":
         reader.fail(n, "expected section 'model'")
     tag = tokens[1] if len(tokens) > 1 else ""
@@ -267,13 +260,11 @@ def read_instance(path) -> Instance:
             n_nests = int(tokens[2])
         except ValueError:
             reader.fail(n, f"invalid nest count '{tokens[2]}'")
-        n, line = reader.next("mu")
-        tokens = line.split()
+        n, tokens = reader.next("mu")
         if not tokens or tokens[0] != "mu":
             reader.fail(n, "expected section 'mu'")
         mu = _parse_floats(reader, n, tokens[1:], n_nests, "mu")
-        n, line = reader.next("nest")
-        tokens = line.split()
+        n, tokens = reader.next("nest")
         if not tokens or tokens[0] != "nest":
             reader.fail(n, "expected section 'nest'")
         try:
@@ -283,41 +274,37 @@ def read_instance(path) -> Instance:
     else:
         reader.fail(n, f"unsupported model '{tag}'")
 
-    n, line = reader.next("m")
-    tokens = line.split()
+    n, tokens = reader.next("m")
     if len(tokens) != 2 or tokens[0] != "m":
         reader.fail(n, "expected section 'm'")
     if not tokens[1].isdigit():
         reader.fail(n, f"invalid location count '{tokens[1]}'")
     m = int(tokens[1])
 
-    n, line = reader.next("zones")
-    tokens = line.split()
+    n, tokens = reader.next("zones")
     if len(tokens) != 2 or tokens[0] != "zones":
         reader.fail(n, "expected section 'zones'")
     if not tokens[1].isdigit():
         reader.fail(n, f"invalid zone count '{tokens[1]}'")
     n_zones = int(tokens[1])
 
-    n, line = reader.next("q")
-    tokens = line.split()
+    n, tokens = reader.next("q")
     if not tokens or tokens[0] != "q":
         reader.fail(n, "expected section 'q'")
     q = _parse_floats(reader, n, tokens[1:], n_zones, "q")
 
-    n, line = reader.next("Y")
-    if line.split() != ["Y"]:
+    n, tokens = reader.next("Y")
+    if tokens != ["Y"]:
         reader.fail(n, "expected section 'Y'")
     rows = []
     for i in range(n_zones):
-        n, line = reader.next(f"Y row {i + 1}")
-        rows.append(_parse_floats(reader, n, line.split(), m, f"Y row {i + 1}"))
+        n, tokens = reader.next(f"Y row {i + 1}")
+        rows.append(_parse_floats(reader, n, tokens, m, f"Y row {i + 1}"))
 
     if nest is not None and nest.size != m:
         raise FormatError(f"{reader.path}: nest assignment has {nest.size} entries, expected {m}")
     try:
         model = NestedLogit(nest, mu) if nest is not None else MultinomialLogit()
-        zones = [Zone(q[i], rows[i]) for i in range(n_zones)]
-        return Instance(zones, model)
+        return Instance.from_arrays(q, np.array(rows).reshape(n_zones, m), model)
     except ValueError as exc:
         raise FormatError(f"{reader.path}: {exc}") from exc

@@ -1,8 +1,8 @@
 """Captured-demand objective over demand zones, with fast incremental evaluation.
 
-An :class:`Instance` holds demand zones, each with a weight ``q`` and a
-competitor-normalized attraction vector over the ``m`` candidate locations.
-Opening the subset ``S`` captures
+An :class:`Instance` holds the demand zones as two stacked arrays: weights
+``q`` and competitor-normalized attractions ``Y`` over the ``m`` candidate
+locations, one row per zone.  Opening the subset ``S`` captures
 
     f(S) = sum_i q_i - sum_i q_i / (1 + G_i(y_i masked to S))
 
@@ -15,7 +15,9 @@ non-negative entries
 
 The module-level functions recompute everything from scratch and serve as the
 reference semantics.  :class:`IncrementalEvaluator` keeps per-zone masked
-sums cached so greedy sweeps and swap scans run without re-summing.
+sums cached so greedy sweeps and swap scans run without re-summing.  It has
+one code path for every bundled model: multinomial logit is priced as nested
+logit with a single nest and ``mu = 1``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,20 @@ __all__ = [
 IMPROVEMENT_EPS = 1e-12
 
 
+def _validated(q, Y):
+    """Zone weights and attraction rows as float arrays; ValueError when invalid."""
+    q, Y = np.array(q, dtype=float), np.array(Y, dtype=float)
+    if Y.ndim != 2 or 0 in Y.shape:
+        raise ValueError("attractions must be a (zones, m) matrix with zones, m >= 1")
+    if q.shape != Y.shape[:1]:
+        raise ValueError(f"expected {Y.shape[0]} zone weights, got shape {q.shape}")
+    if not np.all(q > 0.0):
+        raise ValueError("zone weights must be positive")
+    if not np.all(np.isfinite(Y)) or np.any(Y < 0.0):
+        raise ValueError("zone attraction entries must be finite and non-negative")
+    return q, Y
+
+
 @dataclass(frozen=True, eq=False)
 class Zone:
     """One demand zone: weight q > 0 and attraction per location (>= 0)."""
@@ -51,43 +67,39 @@ class Zone:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if not self.q > 0.0:
-            raise ValueError(f"zone weight must be positive, got {self.q}")
-        if self.y.ndim != 1:
-            raise ValueError("zone attraction must be a 1-d vector")
-        if np.any(self.y < 0.0) or not np.all(np.isfinite(self.y)):
-            raise ValueError("zone attraction entries must be finite and non-negative")
+        object.__setattr__(self, "y", _validated([self.q], [self.y])[1][0])
 
 
 class Instance:
-    """Immutable problem data: zones plus a shared choice model.
+    """Immutable problem data: stacked zone arrays plus a shared choice model.
 
-    Zone data is stacked once into ``q`` (weights, shape ``(n_zones,)``) and
-    ``Y`` (attractions, shape ``(n_zones, m)``) for vectorized evaluation.
+    ``q`` holds the zone weights, shape ``(n_zones,)``, and ``Y`` the
+    attractions, shape ``(n_zones, m)``.  Build one from arrays with
+    :meth:`from_arrays`; ``Instance(zones, model)`` stacks :class:`Zone`
+    objects and validates through the same code.
     """
 
     def __init__(self, zones, model: ChoiceModel):
         zones = tuple(zones)
-        if not zones:
-            raise ValueError("instance needs at least one zone")
-        m = zones[0].y.size
-        if m < 1:
-            raise ValueError("instance needs at least one location")
-        for z in zones:
-            if z.y.size != m:
-                raise ValueError("all zones must price the same number of locations")
-        model.check_dimension(m)
-        self.zones = zones
+        self._set_arrays([z.q for z in zones], [z.y for z in zones], model)
+
+    @classmethod
+    def from_arrays(cls, q, Y, model: ChoiceModel) -> "Instance":
+        """Instance from weights ``q`` and an attraction matrix ``Y`` (both copied)."""
+        inst = cls.__new__(cls)
+        inst._set_arrays(q, Y, model)
+        return inst
+
+    def _set_arrays(self, q, Y, model: ChoiceModel) -> None:
+        self.q, self.Y = _validated(q, Y)
+        model.check_dimension(self.Y.shape[1])
         self.model = model
-        self.m = m
-        self.q = np.array([z.q for z in zones])
-        self.Y = np.vstack([z.y for z in zones])
+        self.m = self.Y.shape[1]
         self.total_demand = float(self.q.sum())
 
     @property
     def n_zones(self) -> int:
-        return len(self.zones)
+        return self.Y.shape[0]
 
     def __repr__(self) -> str:
         return f"Instance(zones={self.n_zones}, m={self.m}, model={self.model!r})"
@@ -133,9 +145,13 @@ def _indicator(selected, m: int) -> np.ndarray:
     return x
 
 
-def _objective_of_effective(inst: Instance, effective_rows: np.ndarray) -> float:
-    g = inst.model.value_rows(effective_rows)
-    return float(inst.total_demand - (inst.q / (1.0 + g)).sum())
+def _relaxation_point(inst: Instance, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (inst.m,):
+        raise ValueError(f"x must have shape ({inst.m},), got {x.shape}")
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("relaxation point entries must lie in [0, 1]")
+    return x
 
 
 def objective(inst: Instance, selected) -> float:
@@ -149,22 +165,13 @@ def objective_relaxed(inst: Instance, x: np.ndarray) -> float:
     On indicator vectors this coincides with :func:`objective` (same code
     path, so the agreement is exact).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.m,):
-        raise ValueError(f"x must have shape ({inst.m},), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("relaxation point entries must lie in [0, 1]")
-    return _objective_of_effective(inst, inst.Y * x)
+    g = inst.model.value_rows(inst.Y * _relaxation_point(inst, x))
+    return float(inst.total_demand - (inst.q / (1.0 + g)).sum())
 
 
 def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
     """Gradient of the relaxed objective at x; entries are always >= 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.m,):
-        raise ValueError(f"x must have shape ({inst.m},), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("relaxation point entries must lie in [0, 1]")
-    effective = inst.Y * x
+    effective = inst.Y * _relaxation_point(inst, x)
     g = inst.model.value_rows(effective)
     dg = inst.model.grad_rows(effective)
     weight = inst.q / (1.0 + g) ** 2
@@ -185,30 +192,43 @@ def marginal_gain(inst: Instance, selected, j: int) -> float:
 class IncrementalEvaluator:
     """Cached per-zone masked sums for one solver run.
 
-    Holds the current selection's per-zone generating-function values (and,
-    for nested models, per-nest power sums) so that candidate additions and
-    single swaps can be priced with one vectorized pass instead of a full
-    re-evaluation.  State belongs to a single run; it is not shared across
-    threads.  ``reset`` rebuilds the cache from scratch after every accepted
-    move, which keeps drift out of the accepted trajectory.
+    Holds the current selection's per-nest power sums ``T``, their roots
+    ``V = T ** (1/mu)`` and per-zone values ``G = sum_l V_l``, so that
+    candidate additions and single swaps are priced with one vectorized pass
+    per nest instead of a full re-evaluation.  Multinomial logit is one nest
+    with ``mu = 1``; the power is skipped wherever ``mu = 1``.  Columns are
+    stored nest-major, so each nest is a contiguous block, and scans write
+    into one preallocated ``(n_zones, m)`` buffer.  State belongs to a single
+    run; it is not shared across threads.  ``reset`` rebuilds the cache from
+    scratch after every accepted move, which keeps drift out of the accepted
+    trajectory.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.model = inst.model
         self.Y = inst.Y
         self.q = inst.q
         self.m = inst.m
-        self._nested = isinstance(inst.model, NestedLogit)
-        if self._nested:
-            model = inst.model
-            self._mu = model.mu
-            self._nest_cols = model.nest_cols
-            self._nest_of = model.nest_of
-            # attraction raised to its nest's exponent, precomputed per column
-            self._Yp = self.Y ** self._mu[self._nest_of][None, :]
-        elif not isinstance(inst.model, MultinomialLogit):
+        if isinstance(inst.model, NestedLogit):
+            nest_of, mu = inst.model.nest_of, inst.model.mu
+        elif isinstance(inst.model, MultinomialLogit):
+            nest_of, mu = np.zeros(self.m, dtype=np.intp), np.ones(1)
+        else:
             raise TypeError("incremental evaluation supports the bundled models only")
+        self._nest_of = nest_of
+        self._mu = mu
+        self._inv_mu = 1.0 / mu
+        # nest-major column order (stable, so ascending within a nest) and,
+        # in _pos, each location's column in it
+        self._order = np.argsort(nest_of, kind="stable")
+        self._pos = np.argsort(self._order)
+        ends = np.cumsum(np.bincount(nest_of, minlength=mu.size))
+        self._blocks = [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        identity = np.array_equal(self._order, np.arange(self.m))
+        self._Ys = self.Y if identity else self.Y[:, self._order]
+        # attraction raised to its nest's exponent, precomputed per column
+        self._Yp = self._Ys if np.all(mu == 1.0) else self._Ys ** mu[nest_of[self._order]]
+        self._buf = np.empty_like(self.Y)
         self.reset(())
 
     # -- state ---------------------------------------------------------------
@@ -216,47 +236,56 @@ class IncrementalEvaluator:
     def reset(self, selected) -> None:
         """Rebuild cached sums from scratch for the given selection."""
         idx = _check_indices(selected, self.m)
-        self.selected = tuple(idx.tolist())
         self._in = np.zeros(self.m, dtype=bool)
         self._in[idx] = True
-        if self._nested:
-            n, L = self.Y.shape[0], self._mu.size
-            self._T = np.zeros((n, L))
-            self._V = np.zeros((n, L))
-            for l, cols in enumerate(self._nest_cols):
-                chosen = cols[self._in[cols]]
-                if chosen.size:
-                    self._T[:, l] = self._Yp[:, chosen].sum(axis=1)
-                    self._V[:, l] = self._T[:, l] ** (1.0 / self._mu[l])
-            self._G = self._V.sum(axis=1)
-        else:
-            if idx.size:
-                self._G = self.Y[:, idx].sum(axis=1)
-            else:
-                self._G = np.zeros(self.Y.shape[0])
+        in_sorted = self._in[self._order]
+        self._T = np.zeros((self.Y.shape[0], self._mu.size))
+        for l, block in enumerate(self._blocks):
+            chosen = np.flatnonzero(in_sorted[block]) + block.start
+            self._T[:, l] = self._Yp[:, chosen].sum(axis=1)
+        self._V = self._T ** self._inv_mu
+        self._G = self._V.sum(axis=1)
 
     def current_objective(self) -> float:
         return float(self.inst.total_demand - (self.q / (1.0 + self._G)).sum())
 
     # -- candidate pricing ---------------------------------------------------
 
-    def _objective_from_g(self, g_rows: np.ndarray) -> np.ndarray:
-        """Objective for a batch of per-zone G columns, shape (n_zones, k)."""
+    def _scan(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray,
+              grow: bool) -> np.ndarray:
+        """Objective after adding (``grow``) or removing each single location.
+
+        Location j in nest l changes that nest's power sum to ``sums_l +- Yp_j``
+        and the zone value to ``g_base - roots_l + (sums_l +- Yp_j) ** (1/mu_l)``.
+        """
+        buf = self._buf
+        step = np.add if grow else np.subtract
+        for l, block in enumerate(self._blocks):
+            out = buf[:, block]
+            offset = (g_base - roots[:, l])[:, None]
+            if self._mu[l] == 1.0:
+                # the root is the identity: fold the nest sum into the offset,
+                # one pass over the block
+                step(offset + sums[:, l, None], self._Yp[:, block], out=out)
+                continue
+            step(sums[:, l, None], self._Yp[:, block], out=out)
+            if not grow:
+                # unselected (later masked) columns go below 0; keep the root real
+                np.maximum(out, 0.0, out=out)
+            out **= self._inv_mu[l]
+            out += offset
+        buf += 1.0
         # entries at to-be-masked positions may be junk (e.g. G minus an
         # unselected column); suppress the exact-zero-denominator warning
         with np.errstate(divide="ignore"):
-            return self.inst.total_demand - (self.q[:, None] / (1.0 + g_rows)).sum(axis=0)
+            np.divide(self.q[:, None], buf, out=buf)
+        vals = np.empty(self.m)
+        vals[self._order] = self.inst.total_demand - buf.sum(axis=0)
+        return vals
 
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        if self._nested:
-            g_new = np.empty_like(self.Y)
-            for l, cols in enumerate(self._nest_cols):
-                grown = np.maximum(self._T[:, l][:, None] + self._Yp[:, cols], 0.0)
-                g_new[:, cols] = (self._G - self._V[:, l])[:, None] + grown ** (1.0 / self._mu[l])
-        else:
-            g_new = self._G[:, None] + self.Y
-        vals = self._objective_from_g(g_new)
+        vals = self._scan(self._T, self._V, self._G, grow=True)
         vals[self._in] = -np.inf
         return vals
 
@@ -264,33 +293,18 @@ class IncrementalEvaluator:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
-        if self._nested:
-            lo = int(self._nest_of[j_out])
-            t_removed = np.maximum(self._T[:, lo] - self._Yp[:, j_out], 0.0)
-            g_base = self._G - self._V[:, lo] + t_removed ** (1.0 / self._mu[lo])
-            g_new = np.empty_like(self.Y)
-            for l, cols in enumerate(self._nest_cols):
-                nest_sum = t_removed if l == lo else self._T[:, l]
-                nest_val = nest_sum ** (1.0 / self._mu[l])
-                grown = np.maximum(nest_sum[:, None] + self._Yp[:, cols], 0.0)
-                g_new[:, cols] = (g_base - nest_val)[:, None] + grown ** (1.0 / self._mu[l])
-        else:
-            g_base = self._G - self.Y[:, j_out]
-            g_new = g_base[:, None] + self.Y
-        vals = self._objective_from_g(g_new)
+        lo = int(self._nest_of[j_out])
+        sums, roots = self._T.copy(), self._V.copy()
+        sums[:, lo] = np.maximum(self._T[:, lo] - self._Yp[:, self._pos[j_out]], 0.0)
+        roots[:, lo] = sums[:, lo] ** self._inv_mu[lo]
+        g_base = self._G - self._V[:, lo] + roots[:, lo]
+        vals = self._scan(sums, roots, g_base, grow=True)
         vals[self._in] = -np.inf
         return vals
 
     def objectives_with_removals(self) -> np.ndarray:
         """f(S - j) for every selected j; +inf at unselected entries."""
-        if self._nested:
-            g_new = np.empty_like(self.Y)
-            for l, cols in enumerate(self._nest_cols):
-                shrunk = np.maximum(self._T[:, l][:, None] - self._Yp[:, cols], 0.0)
-                g_new[:, cols] = (self._G - self._V[:, l])[:, None] + shrunk ** (1.0 / self._mu[l])
-        else:
-            g_new = self._G[:, None] - self.Y
-        vals = self._objective_from_g(g_new)
+        vals = self._scan(self._T, self._V, self._G, grow=False)
         vals[~self._in] = np.inf
         return vals
 
@@ -318,22 +332,24 @@ class IncrementalEvaluator:
         if mode != "gradient":
             raise ValueError(f"unknown coefficient mode {mode!r}")
         weight = self.q / (1.0 + self._G) ** 2
-        if not self._nested:
-            return weight @ self.Y
+        in_sorted = self._in[self._order]
         d = np.empty(self.m)
-        for l, cols in enumerate(self._nest_cols):
+        for l, block in enumerate(self._blocks):
+            y = self._Ys[:, block]
             mu_l = self._mu[l]
             if mu_l == 1.0:
-                d[cols] = weight @ self.Y[:, cols]
+                d[block] = weight @ y
                 continue
             s = self._T[:, l]
             live = s > 0.0
             outer = np.ones_like(s)
             outer[live] = s[live] ** (1.0 / mu_l - 1.0)
-            for j in cols:
-                if self._in[j]:
-                    dg = np.where(live, self.Y[:, j] ** (mu_l - 1.0) * outer, 1.0)
-                else:
-                    dg = np.where(live, 0.0, 1.0)
-                d[j] = weight @ (self.Y[:, j] * dg)
-        return d
+            # selected members: y^(mu-1) * T^(1/mu-1); other members of a
+            # live nest: 0; every member of an empty nest: the limit 1
+            dg = y ** (mu_l - 1.0) * outer[:, None]
+            dg[:, ~in_sorted[block]] = 0.0
+            dg[~live, :] = 1.0
+            d[block] = weight @ (y * dg)
+        vals = np.empty(self.m)
+        vals[self._order] = d
+        return vals

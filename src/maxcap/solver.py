@@ -46,16 +46,14 @@ class SolverConfig:
     subproblem; it is clamped per instance to ``2 * min(C, m - C)`` so the
     region stays feasible.  ``coef_mode`` selects how phase-2 coefficients
     are priced ("gradient" or "marginal").  ``time_budget`` is wall-clock
-    seconds for the whole run, checked between iterations only.  ``seed`` is
-    recorded in reports for audit trails; the solver itself draws no random
-    numbers.
+    seconds for the whole run, checked between iterations only.  The solver
+    draws no random numbers, so a run needs no seed.
     """
 
     C: int
     delta: int = 4
     coef_mode: str = "gradient"
     time_budget: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.C < 1:
@@ -81,7 +79,6 @@ class RunReport:
     exchange_iterations: int
     wall_ms: tuple
     coef_mode: str
-    seed: int = 0
 
     def __post_init__(self):
         f1, f2, f3 = self.phase_objectives
@@ -271,6 +268,5 @@ def ggx(inst: Instance, cfg: SolverConfig):
         exchange_iterations=ex_iters,
         wall_ms=((t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3),
         coef_mode=cfg.coef_mode,
-        seed=cfg.seed,
     )
     return final, report

@@ -183,7 +183,7 @@ def criterion_8(workdir):
             expanded = objective(inst, s)
             per_draw = [
                 objective(
-                    Instance([Zone(1.0, inst.zones[i * k + d].y) for i in range(zones)],
+                    Instance([Zone(1.0, inst.Y[i * k + d]) for i in range(zones)],
                              MultinomialLogit()),
                     s,
                 )

@@ -109,8 +109,8 @@ class TestMmnl:
             expanded = objective(inst, s)
             per_draw = []
             for draw in range(k):
-                rows = [inst.zones[i * k + draw].y for i in range(p.zones)]
-                sub = Instance([type(inst.zones[0])(1.0, r) for r in rows], MultinomialLogit())
+                rows = [inst.Y[i * k + draw] for i in range(p.zones)]
+                sub = Instance.from_arrays(np.ones(p.zones), rows, MultinomialLogit())
                 per_draw.append(objective(sub, s))
             assert abs(expanded - float(np.mean(per_draw))) <= 1e-12
 
@@ -118,6 +118,14 @@ class TestMmnl:
         p = GeneratorParams(zones=6, locations=5, seed=1)
         mp = MmnlParams(theta=1.5, samples=10, seed=9)
         assert np.array_equal(mmnl_expand(p, mp).Y, mmnl_expand(p, mp).Y)
+
+    def test_clamping_warns_once_per_expansion(self):
+        # theta = 10 on the default plane clamps location utilities in many zones
+        p = GeneratorParams(zones=10, locations=8, seed=1)
+        with pytest.warns(RuntimeWarning, match="clamped") as record:
+            inst = mmnl_expand(p, MmnlParams(theta=10.0, samples=5, seed=1))
+        assert sum("clamped" in str(w.message) for w in record) == 1
+        assert np.all(np.isfinite(inst.Y))
 
 
 class TestAssignNests:
@@ -207,6 +215,15 @@ class TestFileFormat:
         path = tmp_path / "bad.mcp"
         path.write_text("MCP 1\nmodel mnl\nm 2\nzones 1\nq 1\nY\n0.5 oops\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r":7:"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("q, row, reason", [
+        ("1", "0.5 -0.25", "non-negative"), ("1", "nan 0.25", "finite"), ("0", "0.5 0.25", "positive"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, q, row, reason):
+        path = tmp_path / "b.mcp"
+        path.write_text(f"MCP 1\nmodel mnl\nm 2\nzones 1\nq {q}\nY\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=reason):
             read_instance(path)
 
     def test_nest_length_mismatch(self, tmp_path):

@@ -158,7 +158,7 @@ class TestSolution:
 
 
 class TestIncrementalEvaluator:
-    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_addition_values_match_scratch(self, rng, nested):
         inst = dense_random(rng, zones=7, m=9, nested=nested)
         ev = IncrementalEvaluator(inst)
@@ -173,7 +173,7 @@ class TestIncrementalEvaluator:
                 else:
                     assert vals[j] == pytest.approx(objective(inst, s + [j]), abs=1e-12)
 
-    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_swap_values_match_scratch(self, rng, nested):
         inst = dense_random(rng, zones=7, m=9, nested=nested)
         ev = IncrementalEvaluator(inst)
@@ -189,7 +189,7 @@ class TestIncrementalEvaluator:
                     swapped = sorted(set(s) - {j} | {t})
                     assert vals[t] == pytest.approx(objective(inst, swapped), abs=1e-12)
 
-    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_gradient_coefficients_match_relaxed_gradient(self, rng, nested):
         inst = dense_random(rng, zones=7, m=9, nested=nested)
         ev = IncrementalEvaluator(inst)

@@ -264,7 +264,8 @@ class TestGgx:
     def test_unit_mu_nested_matches_mnl(self):
         params = dict(zones=12, m=10, seed=9)
         mnl_inst = planar(**params)
-        nested_inst = Instance(mnl_inst.zones, NestedLogit([i % 2 for i in range(10)], [1.0, 1.0]))
+        nested_inst = Instance.from_arrays(mnl_inst.q, mnl_inst.Y,
+                                           NestedLogit([i % 2 for i in range(10)], [1.0, 1.0]))
         cfg = SolverConfig(C=4)
         a, _ = ggx(mnl_inst, cfg)
         b, _ = ggx(nested_inst, cfg)
