@@ -18,6 +18,7 @@ rather than the library's rejection sampler.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -97,13 +98,21 @@ def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def _outside_stacklevel() -> int:
+    """``stacklevel`` that points our caller's warning at the first frame outside this module."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _exp_utility(v: np.ndarray, label: str) -> np.ndarray:
     clipped = int((np.abs(v) > UTILITY_CLAMP).sum())
     if clipped:
         warnings.warn(
             f"clamped {clipped} {label} utilities to |v| <= {UTILITY_CLAMP:g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
         v = np.clip(v, -UTILITY_CLAMP, UTILITY_CLAMP)
     return np.exp(v)
@@ -196,10 +205,12 @@ def write_instance(inst: Instance, path) -> None:
     lines.append(f"zones {inst.n_zones}")
     lines.append("q " + " ".join(_fmt(v) for v in inst.q))
     lines.append("Y")
-    for row in inst.Y:
-        lines.append(" ".join(_fmt(v) for v in row))
+    # "%.17g" gives the same text as _fmt, formatted a whole row at a time;
+    # rows are streamed, so no copy of the matrix exists as floats or text
+    row_format = " ".join(["%.17g"] * inst.m) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in inst.Y)
 
 
 class _Reader:
@@ -234,6 +245,26 @@ def _parse_floats(reader, lineno, tokens, expected, what):
         return np.array([float(t) for t in tokens])
     except ValueError:
         reader.fail(lineno, f"non-numeric value in {what}")
+
+
+def _parse_matrix(reader, n_zones, m):
+    """The ``n_zones`` Y rows converted in one call; a rejected block is walked for its error."""
+    lines = [line for _, line in reader.rows[reader.pos:reader.pos + n_zones]]
+    if len(lines) == n_zones:  # a short block is left to the walk, which names the missing row
+        try:
+            Y = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            Y = None
+        if Y is not None and Y.shape == (n_zones, m):
+            reader.pos += n_zones
+            return Y
+    # only explains a rejected block: the first bad row raises with its line number
+    for i in range(n_zones):
+        n, tokens = reader.next(f"Y row {i + 1}")
+        _parse_floats(reader, n, tokens, m, f"Y row {i + 1}")
+    raise FormatError(
+        f"{reader.path}: Y block is not {n_zones} rows of {m} plain decimal numbers"
+    )
 
 
 def read_instance(path) -> Instance:
@@ -277,14 +308,14 @@ def read_instance(path) -> Instance:
     n, tokens = reader.next("m")
     if len(tokens) != 2 or tokens[0] != "m":
         reader.fail(n, "expected section 'm'")
-    if not tokens[1].isdigit():
+    if not tokens[1].isdecimal():
         reader.fail(n, f"invalid location count '{tokens[1]}'")
     m = int(tokens[1])
 
     n, tokens = reader.next("zones")
     if len(tokens) != 2 or tokens[0] != "zones":
         reader.fail(n, "expected section 'zones'")
-    if not tokens[1].isdigit():
+    if not tokens[1].isdecimal() or int(tokens[1]) < 1:
         reader.fail(n, f"invalid zone count '{tokens[1]}'")
     n_zones = int(tokens[1])
 
@@ -296,15 +327,12 @@ def read_instance(path) -> Instance:
     n, tokens = reader.next("Y")
     if tokens != ["Y"]:
         reader.fail(n, "expected section 'Y'")
-    rows = []
-    for i in range(n_zones):
-        n, tokens = reader.next(f"Y row {i + 1}")
-        rows.append(_parse_floats(reader, n, tokens, m, f"Y row {i + 1}"))
+    Y = _parse_matrix(reader, n_zones, m)
 
     if nest is not None and nest.size != m:
         raise FormatError(f"{reader.path}: nest assignment has {nest.size} entries, expected {m}")
     try:
         model = NestedLogit(nest, mu) if nest is not None else MultinomialLogit()
-        return Instance.from_arrays(q, np.array(rows).reshape(n_zones, m), model)
+        return Instance.from_arrays(q, Y, model)
     except ValueError as exc:
         raise FormatError(f"{reader.path}: {exc}") from exc

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from maxcap import (
     read_instance,
     write_instance,
 )
+from maxcap import instances
 from maxcap.instances import _mmnl_with_noise
 from conftest import MU_GRID
 
@@ -62,6 +65,20 @@ class TestGenerate:
         with pytest.warns(RuntimeWarning, match="clamped"):
             inst = generate_euclidean(p, MultinomialLogit())
         assert np.all(np.isfinite(inst.Y))
+
+    @pytest.mark.parametrize("build", ["generate_euclidean", "mmnl_expand"])
+    def test_clamp_warnings_point_at_caller(self, build):
+        # beta = theta = 10 with alpha = 1 clamps both location and competitor utilities
+        p = GeneratorParams(zones=10, locations=8, alpha=1.0, beta=10.0, seed=1)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            if build == "generate_euclidean":
+                generate_euclidean(p, MultinomialLogit())
+            else:
+                mmnl_expand(p, MmnlParams(theta=10.0, samples=3, seed=1))
+        clamps = [w for w in record if "clamped" in str(w.message)]
+        assert {str(w.message).split()[2] for w in clamps} == {"location", "competitor"}
+        assert all(w.filename == __file__ for w in clamps)
 
     def test_nested_model_dimension_checked(self):
         p = GeneratorParams(zones=5, locations=8, seed=0)
@@ -193,6 +210,89 @@ class TestFileFormat:
         inst = read_instance(path)
         assert inst.Y.tolist() == [[0.5, 0.25]]
 
+    def test_comment_inside_y_block_is_skipped(self, tmp_path):
+        path = tmp_path / "c.mcp"
+        path.write_text(
+            "MCP 1\nmodel mnl\nm 2\nzones 2\nq 1 1\nY\n0.5 0.25\n# between rows\n\n0.125 1\n",
+            encoding="utf-8",
+        )
+        assert read_instance(path).Y.tolist() == [[0.5, 0.25], [0.125, 1.0]]
+
+    def test_single_location_roundtrip(self, tmp_path):
+        p = GeneratorParams(zones=6, locations=1, seed=3)
+        back = self.roundtrip(generate_euclidean(p, MultinomialLogit()), tmp_path)
+        assert back.Y.shape == (6, 1)
+
+    @staticmethod
+    def write_y(tmp_path, rows):
+        # m = 3; Y row k sits on line 6 + k
+        path = tmp_path / "y.mcp"
+        q = " ".join(["1"] * len(rows))
+        path.write_text(f"MCP 1\nmodel mnl\nm 3\nzones {len(rows)}\nq {q}\nY\n"
+                        + "".join(row + "\n" for row in rows), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("row3", ["0.5 0.25", "0.5 0.25 1 2"])
+    def test_later_row_with_wrong_width(self, tmp_path, row3):
+        path = self.write_y(tmp_path, ["1 2 3", "4 5 6", row3, "7 8 9"])
+        with pytest.raises(FormatError, match=r":9: .*Y row 3"):
+            read_instance(path)
+
+    def test_non_numeric_token_on_last_row(self, tmp_path):
+        path = self.write_y(tmp_path, ["1 2 3", "4 5 6", "7 oops 9"])
+        with pytest.raises(FormatError, match=r":9: non-numeric value in Y row 3"):
+            read_instance(path)
+
+    def test_digit_separators_rejected_in_y(self, tmp_path):
+        path = self.write_y(tmp_path, ["1 2 3", "4 1_0 6"])
+        with pytest.raises(FormatError, match="Y block"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("m, zones", [("²", "1"), ("1", "²")])
+    def test_superscript_count_rejected_with_line(self, tmp_path, m, zones):
+        path = tmp_path / "s.mcp"
+        path.write_text(f"MCP 1\nmodel mnl\nm {m}\nzones {zones}\nq 1\nY\n1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":[34]: invalid"):
+            read_instance(path)
+
+    def test_zero_zones_rejected_without_numpy_warning(self, tmp_path):
+        path = self.write_y(tmp_path, [])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match="zone count"):
+                read_instance(path)
+        assert not record
+
+    def test_y_rows_are_not_parsed_one_by_one(self, tmp_path, monkeypatch):
+        # the per-row helper may run for the q line only, not once per Y row
+        path = tmp_path / "big.mcp"
+        write_instance(generate_euclidean(GeneratorParams(zones=200, locations=50, seed=2),
+                                          MultinomialLogit()), path)
+        calls = []
+        parse_floats = instances._parse_floats
+
+        def counted(*args):
+            calls.append(args[-1])
+            return parse_floats(*args)
+
+        monkeypatch.setattr(instances, "_parse_floats", counted)
+        assert read_instance(path).Y.shape == (200, 50)
+        assert calls == ["q"]
+
+    @pytest.mark.parametrize("kind", ["mnl", "nested", "extremes"])
+    def test_write_matches_per_value_format(self, tmp_path, kind):
+        p = GeneratorParams(zones=9, locations=5, seed=5)
+        if kind == "extremes":
+            inst = Instance.from_arrays(np.ones(2), [[5e-324, 1e-300, 0.1, 1 / 3, 1e300],
+                                                     [0.0, -0.0, 2.5, 1e-5, 123456789.0]],
+                                        MultinomialLogit())
+        else:
+            model = assign_nests(5, 2, (1.1, 1 / 0.7)) if kind == "nested" else MultinomialLogit()
+            inst = generate_euclidean(p, model)
+        path = tmp_path / "w.mcp"
+        write_instance(inst, path)
+        assert path.read_bytes() == _per_value_text(inst).encode("utf-8")
+
     def test_truncated_file_names_missing_section(self, tmp_path):
         path = tmp_path / "t.mcp"
         path.write_text("MCP 1\nmodel mnl\nm 2\nzones 2\nq 1 1\nY\n0.5 0.25\n", encoding="utf-8")
@@ -234,3 +334,19 @@ class TestFileFormat:
         )
         with pytest.raises(FormatError, match="nest"):
             read_instance(path)
+
+
+def _per_value_text(inst):
+    """Reference ``.mcp`` text with every float formatted on its own by ``format(x, ".17g")``."""
+    def fmt(values):
+        return " ".join(format(float(v), ".17g") for v in values)
+
+    lines = ["MCP 1"]
+    if isinstance(inst.model, NestedLogit):
+        lines += [f"model nested {inst.model.n_nests}", "mu " + fmt(inst.model.mu),
+                  "nest " + " ".join(str(int(l) + 1) for l in inst.model.nest_of)]
+    else:
+        lines.append("model mnl")
+    lines += [f"m {inst.m}", f"zones {inst.n_zones}", "q " + fmt(inst.q), "Y"]
+    lines += [fmt(row) for row in inst.Y]
+    return "\n".join(lines) + "\n"
