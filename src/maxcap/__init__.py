@@ -39,6 +39,7 @@ from .oracle import (
     check_subproblem,
 )
 from .solver import (
+    Phase,
     RunReport,
     SolverConfig,
     exchange_search,
@@ -79,6 +80,7 @@ __all__ = [
     "check_monotonicity",
     "check_submodularity",
     "check_subproblem",
+    "Phase",
     "RunReport",
     "SolverConfig",
     "exchange_search",

@@ -12,8 +12,10 @@ attraction 1 follow from ``G`` and its gradient:
 Two concrete models are provided: :class:`MultinomialLogit` (``G`` is the
 plain sum) and :class:`NestedLogit` (per-nest power sums with dissimilarity
 parameters ``mu_l >= 1``).  Other models in the family can be added by
-subclassing :class:`ChoiceModel`; the solver layers only ever touch the
-abstract interface.
+subclassing :class:`ChoiceModel`, which is all that :func:`maxcap.objective`,
+its relaxation and gradient, and the oracles use.  The incremental evaluator
+(and with it the solver) and the ``.mcp`` writer support only these two
+models.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .instances import (
     write_instance,
 )
 from .oracle import brute_force_opt
-from .solver import SolverConfig, ggx, greedy
+from .solver import SolverConfig, ggx
 
 __all__ = ["main", "entry"]
 
@@ -82,7 +82,7 @@ def _float_list(text: str):
 
 
 def _int_range(text: str):
-    """Parse '2:10' as an inclusive range, or '2,5,7' / '4' as a list."""
+    """Parse '2:10' as an inclusive range, or '2,5,7' / '4' as a list, of values >= 1."""
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
@@ -91,13 +91,16 @@ def _int_range(text: str):
             raise _UsageError(f"invalid range {text!r}") from exc
         if lo > hi:
             raise _UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        values = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"invalid integer list {text!r}") from exc
-    if not values:
-        raise _UsageError(f"empty integer list {text!r}")
+        values = list(range(lo, hi + 1))
+    else:
+        try:
+            values = [int(t) for t in text.split(",") if t.strip()]
+        except ValueError as exc:
+            raise _UsageError(f"invalid integer list {text!r}") from exc
+        if not values:
+            raise _UsageError(f"empty integer list {text!r}")
+    if min(values) < 1:
+        raise _UsageError(f"values must be >= 1, got {text!r}")
     return values
 
 
@@ -166,41 +169,19 @@ def _cmd_generate(args) -> int:
 # -- solve ----------------------------------------------------------------------
 
 
-def _phase_rows(args, solution, report, gh_wall=0.0):
-    if args.algo == "gh":
-        return [("greedy", solution.objective, args.C, gh_wall if args.stamp else 0.0)]
-    wall = report.wall_ms if args.stamp else (0.0, 0.0, 0.0)
-    return [
-        ("greedy", report.phase_objectives[0], args.C, wall[0]),
-        ("gradient", report.phase_objectives[1], report.subproblem_iterations, wall[1]),
-        ("exchange", report.phase_objectives[2], report.exchange_iterations, wall[2]),
-    ]
-
-
 def _cmd_solve(args) -> int:
     if args.delta % 2 != 0:
         raise _UsageError(f"--delta must be even, got {args.delta}")
     inst = read_instance(args.instance)
-    if args.C > inst.m:
-        raise ValueError(f"C={args.C} exceeds the instance's m={inst.m}")
     cfg = SolverConfig(
         C=args.C,
         delta=args.delta,
         coef_mode=args.coef_mode,
         time_budget=args.time_budget,
+        algo=args.algo,
     )
-    gh_wall = 0.0
-    if args.algo == "gh":
-        t0 = time.perf_counter()
-        solution = greedy(inst, cfg.C)
-        gh_wall = (time.perf_counter() - t0) * 1e3
-        wall = gh_wall
-        report = None
-    else:
-        solution, report = ggx(inst, cfg)
-        wall = sum(report.wall_ms)
+    solution, report = ggx(inst, cfg)
 
-    phases = _phase_rows(args, solution, report, gh_wall)
     tag = "mnl" if isinstance(inst.model, MultinomialLogit) else "nested"
     if args.json:
         payload = {
@@ -216,26 +197,26 @@ def _cmd_solve(args) -> int:
             "objective": float(f"{solution.objective:.12f}"),
             "phases": [
                 {
-                    "name": name,
-                    "objective": float(f"{obj:.12f}"),
-                    "iterations": iters,
-                    "wall_ms": round(ms, 3),
+                    "name": p.name,
+                    "objective": float(f"{p.objective:.12f}"),
+                    "iterations": p.iterations,
+                    "wall_ms": round(p.wall_ms, 3) if args.stamp else 0.0,
                 }
-                for name, obj, iters, ms in phases
+                for p in report.phases
             ],
         }
         if args.stamp:
-            payload["wall_ms_total"] = round(wall, 3)
+            payload["wall_ms_total"] = round(sum(p.wall_ms for p in report.phases), 3)
         print(json.dumps(payload, indent=2))
     else:
         print(f"instance: {args.instance} (zones={inst.n_zones}, m={inst.m}, model={tag})")
         print(f"algo: {args.algo}  C={args.C}  delta={args.delta}  coef_mode={args.coef_mode}")
         print("selected: " + " ".join(str(j + 1) for j in solution.selected))
         print(f"objective: {solution.objective:.12f}")
-        for name, obj, iters, ms in phases:
-            line = f"phase {name:<8} objective={obj:.12f} iterations={iters}"
+        for p in report.phases:
+            line = f"phase {p.name:<8} objective={p.objective:.12f} iterations={p.iterations}"
             if args.stamp:
-                line += f" wall_ms={ms:.3f}"
+                line += f" wall_ms={p.wall_ms:.3f}"
             print(line)
     return 0
 
@@ -275,10 +256,7 @@ def _cmd_check(args) -> int:
             "euler": oracle.check_cpgf_contracts,
         }[suite]
         for label, inst in labelled:
-            if suite == "gradient":
-                report = fn(inst, args.trials, seed=args.seed)
-            else:
-                report = fn(inst, args.trials, args.seed)
+            report = fn(inst, args.trials, seed=args.seed)
             reports.append(report)
             print(f"[{label}] {report}")
     return 0 if all(r.passed for r in reports) else 3
@@ -314,18 +292,16 @@ def _run_cell(task, args):
     for C in args.C:
         if C > m:
             raise ValueError(f"C={C} exceeds m={m} in grid cell {instance_id}")
-        cfg = SolverConfig(C=C, delta=args.delta, time_budget=args.time_budget)
         algos = ["gh", "ggx"]
         if args.bf_max and math.comb(m, C) <= args.bf_max:
             algos.append("bf")
         for algo in algos:
             t0 = time.perf_counter()
-            if algo == "gh":
-                sol = greedy(inst, C)
-            elif algo == "ggx":
-                sol, _ = ggx(inst, cfg)
-            else:
+            if algo == "bf":
                 sol = brute_force_opt(inst, C)
+            else:
+                sol, _ = ggx(inst, SolverConfig(C=C, delta=args.delta, time_budget=args.time_budget,
+                                                algo=algo))
             wall = (time.perf_counter() - t0) * 1e3
             rows.append({
                 "instance_id": instance_id, "I": zones, "m": m, "C": C,

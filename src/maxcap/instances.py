@@ -239,12 +239,20 @@ class _Reader:
 
 
 def _parse_floats(reader, lineno, tokens, expected, what):
+    """One line of plain decimal numbers, read with the Y block's converter."""
     if len(tokens) != expected:
         reader.fail(lineno, f"expected {expected} values for {what}, found {len(tokens)}")
     try:
-        return np.array([float(t) for t in tokens])
+        return np.loadtxt([" ".join(tokens)], dtype=float, comments=None, ndmin=1)
     except ValueError:
         reader.fail(lineno, f"non-numeric value in {what}")
+
+
+def _parse_count(reader, lineno, token, what):
+    """A positive decimal integer; ``isdecimal`` rejects signs, separators and superscripts."""
+    if not token.isdecimal() or int(token) < 1:
+        reader.fail(lineno, f"invalid {what} '{token}'")
+    return int(token)
 
 
 def _parse_matrix(reader, n_zones, m):
@@ -261,7 +269,7 @@ def _parse_matrix(reader, n_zones, m):
     # only explains a rejected block: the first bad row raises with its line number
     for i in range(n_zones):
         n, tokens = reader.next(f"Y row {i + 1}")
-        _parse_floats(reader, n, tokens, m, f"Y row {i + 1}")
+        _parse_floats(reader, n, tokens, m, f"Y row {i + 1} of the Y block")
     raise FormatError(
         f"{reader.path}: Y block is not {n_zones} rows of {m} plain decimal numbers"
     )
@@ -287,10 +295,7 @@ def read_instance(path) -> Instance:
     elif tag == "nested":
         if len(tokens) != 3:
             reader.fail(n, "expected 'model nested <L>'")
-        try:
-            n_nests = int(tokens[2])
-        except ValueError:
-            reader.fail(n, f"invalid nest count '{tokens[2]}'")
+        n_nests = _parse_count(reader, n, tokens[2], "nest count")
         n, tokens = reader.next("mu")
         if not tokens or tokens[0] != "mu":
             reader.fail(n, "expected section 'mu'")
@@ -298,26 +303,19 @@ def read_instance(path) -> Instance:
         n, tokens = reader.next("nest")
         if not tokens or tokens[0] != "nest":
             reader.fail(n, "expected section 'nest'")
-        try:
-            nest = np.array([int(t) - 1 for t in tokens[1:]])
-        except ValueError:
-            reader.fail(n, "non-integer nest index")
+        nest = np.array([_parse_count(reader, n, t, "nest index") - 1 for t in tokens[1:]])
     else:
         reader.fail(n, f"unsupported model '{tag}'")
 
     n, tokens = reader.next("m")
     if len(tokens) != 2 or tokens[0] != "m":
         reader.fail(n, "expected section 'm'")
-    if not tokens[1].isdecimal():
-        reader.fail(n, f"invalid location count '{tokens[1]}'")
-    m = int(tokens[1])
+    m = _parse_count(reader, n, tokens[1], "location count")
 
     n, tokens = reader.next("zones")
     if len(tokens) != 2 or tokens[0] != "zones":
         reader.fail(n, "expected section 'zones'")
-    if not tokens[1].isdecimal() or int(tokens[1]) < 1:
-        reader.fail(n, f"invalid zone count '{tokens[1]}'")
-    n_zones = int(tokens[1])
+    n_zones = _parse_count(reader, n, tokens[1], "zone count")
 
     n, tokens = reader.next("q")
     if not tokens or tokens[0] != "q":

@@ -251,41 +251,42 @@ class IncrementalEvaluator:
 
     # -- candidate pricing ---------------------------------------------------
 
-    def _scan(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray,
-              grow: bool) -> np.ndarray:
-        """Objective after adding (``grow``) or removing each single location.
+    def _scan(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray) -> np.ndarray:
+        """Objective after adding each single location to the given cached state.
 
-        Location j in nest l changes that nest's power sum to ``sums_l +- Yp_j``
-        and the zone value to ``g_base - roots_l + (sums_l +- Yp_j) ** (1/mu_l)``.
+        Location j in nest l changes that nest's power sum to ``sums_l + Yp_j``
+        and the zone value to ``g_base - roots_l + (sums_l + Yp_j) ** (1/mu_l)``.
         """
         buf = self._buf
-        step = np.add if grow else np.subtract
         for l, block in enumerate(self._blocks):
             out = buf[:, block]
             offset = (g_base - roots[:, l])[:, None]
             if self._mu[l] == 1.0:
                 # the root is the identity: fold the nest sum into the offset,
                 # one pass over the block
-                step(offset + sums[:, l, None], self._Yp[:, block], out=out)
+                np.add(offset + sums[:, l, None], self._Yp[:, block], out=out)
                 continue
-            step(sums[:, l, None], self._Yp[:, block], out=out)
-            if not grow:
-                # unselected (later masked) columns go below 0; keep the root real
-                np.maximum(out, 0.0, out=out)
+            np.add(sums[:, l, None], self._Yp[:, block], out=out)
             out **= self._inv_mu[l]
             out += offset
         buf += 1.0
-        # entries at to-be-masked positions may be junk (e.g. G minus an
-        # unselected column); suppress the exact-zero-denominator warning
-        with np.errstate(divide="ignore"):
-            np.divide(self.q[:, None], buf, out=buf)
+        np.divide(self.q[:, None], buf, out=buf)
         vals = np.empty(self.m)
         vals[self._order] = self.inst.total_demand - buf.sum(axis=0)
         return vals
 
+    def _without(self, j: int):
+        """Per-nest sums, roots and per-zone values of the selection minus selected j."""
+        lo = int(self._nest_of[j])
+        sums, roots = self._T.copy(), self._V.copy()
+        sums[:, lo] = np.maximum(self._T[:, lo] - self._Yp[:, self._pos[j]], 0.0)
+        roots[:, lo] = sums[:, lo] ** self._inv_mu[lo]
+        g_base = self._G - self._V[:, lo] + roots[:, lo]
+        return sums, roots, g_base
+
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        vals = self._scan(self._T, self._V, self._G, grow=True)
+        vals = self._scan(self._T, self._V, self._G)
         vals[self._in] = -np.inf
         return vals
 
@@ -293,19 +294,16 @@ class IncrementalEvaluator:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
-        lo = int(self._nest_of[j_out])
-        sums, roots = self._T.copy(), self._V.copy()
-        sums[:, lo] = np.maximum(self._T[:, lo] - self._Yp[:, self._pos[j_out]], 0.0)
-        roots[:, lo] = sums[:, lo] ** self._inv_mu[lo]
-        g_base = self._G - self._V[:, lo] + roots[:, lo]
-        vals = self._scan(sums, roots, g_base, grow=True)
+        vals = self._scan(*self._without(j_out))
         vals[self._in] = -np.inf
         return vals
 
     def objectives_with_removals(self) -> np.ndarray:
         """f(S - j) for every selected j; +inf at unselected entries."""
-        vals = self._scan(self._T, self._V, self._G, grow=False)
-        vals[~self._in] = np.inf
+        vals = np.full(self.m, np.inf)
+        for j in np.flatnonzero(self._in):
+            g = self._without(j)[2]
+            vals[j] = self.inst.total_demand - (self.q / (1.0 + g)).sum()
         return vals
 
     # -- local-search coefficients --------------------------------------------

@@ -29,6 +29,7 @@ from .objective import IMPROVEMENT_EPS, IncrementalEvaluator, Instance, Solution
 
 __all__ = [
     "SolverConfig",
+    "Phase",
     "RunReport",
     "greedy",
     "solve_subproblem",
@@ -42,18 +43,21 @@ __all__ = [
 class SolverConfig:
     """Knobs for one solver run.
 
-    ``delta`` bounds the symmetric difference explored by the phase-2
-    subproblem; it is clamped per instance to ``2 * min(C, m - C)`` so the
-    region stays feasible.  ``coef_mode`` selects how phase-2 coefficients
-    are priced ("gradient" or "marginal").  ``time_budget`` is wall-clock
-    seconds for the whole run, checked between iterations only.  The solver
-    draws no random numbers, so a run needs no seed.
+    ``algo`` picks the pipeline: "ggx" runs all three phases, "gh" the
+    greedy warm-up only.  ``delta`` bounds the symmetric difference explored
+    by the phase-2 subproblem; it is clamped per instance to
+    ``2 * min(C, m - C)`` so the region stays feasible.  ``coef_mode``
+    selects how phase-2 coefficients are priced ("gradient" or "marginal").
+    ``time_budget`` is wall-clock seconds for the whole run, checked between
+    iterations only.  The solver draws no random numbers, so a run needs no
+    seed.
     """
 
     C: int
     delta: int = 4
     coef_mode: str = "gradient"
     time_budget: float | None = None
+    algo: str = "ggx"
 
     def __post_init__(self):
         if self.C < 1:
@@ -64,6 +68,8 @@ class SolverConfig:
             raise ValueError(f"coef_mode must be 'gradient' or 'marginal', got {self.coef_mode!r}")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive when given")
+        if self.algo not in ("gh", "ggx"):
+            raise ValueError(f"algo must be 'gh' or 'ggx', got {self.algo!r}")
 
     def effective_delta(self, m: int) -> int:
         """Region size actually used for an instance with m locations."""
@@ -71,19 +77,29 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class RunReport:
-    """Per-phase trajectory of one run; objectives never decrease."""
+class Phase:
+    """One phase of a run: its name, the objective it ended at, its iterations and wall time."""
 
-    phase_objectives: tuple
-    subproblem_iterations: int
-    exchange_iterations: int
-    wall_ms: tuple
-    coef_mode: str
+    name: str
+    objective: float
+    iterations: int
+    wall_ms: float
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """The phases of one run, in order; their objectives never decrease."""
+
+    phases: tuple
 
     def __post_init__(self):
-        f1, f2, f3 = self.phase_objectives
-        if not (f1 <= f2 and f2 <= f3):
-            raise ValueError(f"phase objectives must be non-decreasing, got {self.phase_objectives}")
+        f = self.phase_objectives
+        if not all(a <= b for a, b in zip(f, f[1:])):
+            raise ValueError(f"phase objectives must be non-decreasing, got {f}")
+
+    @property
+    def phase_objectives(self) -> tuple:
+        return tuple(p.objective for p in self.phases)
 
 
 class _Deadline:
@@ -243,8 +259,22 @@ def _exchange_search(inst, start, cfg, deadline):
     return Solution(tuple(current), f_cur), iterations
 
 
+def _warm_up(inst, _start, cfg, _deadline):
+    # greedy is looked up at call time, so a wrapper installed on the module sees it
+    return greedy(inst, cfg.C), cfg.C
+
+
+# (name, step) in run order; a step maps (inst, start, cfg, deadline) to
+# (solution, iterations).  "gh" runs the first phase only.
+_PHASES = (
+    ("greedy", _warm_up),
+    ("gradient", _gradient_local_search),
+    ("exchange", _exchange_search),
+)
+
+
 def ggx(inst: Instance, cfg: SolverConfig):
-    """Run all three phases; returns the final solution and a run report.
+    """Run the phases of ``cfg.algo``; returns the final solution and a run report.
 
     The warm-up always runs to completion so the returned selection has
     exactly C locations; the time budget gates phases 2 and 3, checked
@@ -253,20 +283,9 @@ def ggx(inst: Instance, cfg: SolverConfig):
     if cfg.C > inst.m:
         raise ValueError(f"cardinality C={cfg.C} exceeds m={inst.m}")
     deadline = _Deadline(cfg.time_budget)
-
-    t0 = time.perf_counter()
-    warm = greedy(inst, cfg.C)
-    t1 = time.perf_counter()
-    refined, sub_iters = _gradient_local_search(inst, warm, cfg, deadline)
-    t2 = time.perf_counter()
-    final, ex_iters = _exchange_search(inst, refined, cfg, deadline)
-    t3 = time.perf_counter()
-
-    report = RunReport(
-        phase_objectives=(warm.objective, refined.objective, final.objective),
-        subproblem_iterations=sub_iters,
-        exchange_iterations=ex_iters,
-        wall_ms=((t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3),
-        coef_mode=cfg.coef_mode,
-    )
-    return final, report
+    solution, phases = None, []
+    for name, step in _PHASES[:1] if cfg.algo == "gh" else _PHASES:
+        t0 = time.perf_counter()
+        solution, iterations = step(inst, solution, cfg, deadline)
+        phases.append(Phase(name, solution.objective, iterations, (time.perf_counter() - t0) * 1e3))
+    return solution, RunReport(tuple(phases))

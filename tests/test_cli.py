@@ -101,6 +101,26 @@ class TestSolve:
         assert payload["selected"] == [int(t) for t in text.split("selected: ")[1].splitlines()[0].split()]
         assert [p["name"] for p in payload["phases"]] == ["greedy", "gradient", "exchange"]
 
+    @pytest.mark.parametrize("algo, names", [("gh", ["greedy"]),
+                                             ("ggx", ["greedy", "gradient", "exchange"])])
+    def test_phase_records(self, capsys, instance_file, algo, names):
+        argv = ["solve", str(instance_file), "--C", "4", "--algo", algo]
+        _, text, _ = run(capsys, *argv)
+        _, raw, _ = run(capsys, *argv, "--json")
+        _, stamped, _ = run(capsys, *argv, "--json", "--stamp")
+        phases = json.loads(raw)["phases"]
+        assert [p["name"] for p in phases] == names
+        assert phases[0]["iterations"] == 4
+        assert all(p["wall_ms"] == 0.0 for p in phases)
+        assert "wall_ms_total" not in json.loads(raw)
+        lines = [line for line in text.splitlines() if line.startswith("phase ")]
+        assert lines == [f"phase {p['name']:<8} objective={p['objective']:.12f} "
+                         f"iterations={p['iterations']}" for p in phases]
+        payload = json.loads(stamped)
+        assert [p["name"] for p in payload["phases"]] == names
+        assert payload["wall_ms_total"] > 0
+        assert all(p["wall_ms"] > 0 for p in payload["phases"])
+
     def test_zero_cardinality_is_usage_error(self, capsys, instance_file):
         assert run(capsys, "solve", str(instance_file), "--C", "0")[0] == 1
 
@@ -189,6 +209,11 @@ class TestBench:
         assert run(capsys, *self.bench_args(a))[0] == 0
         assert run(capsys, *self.bench_args(b, ("--jobs", "4")))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("C", ["0:2", "-1", "0"])
+    def test_nonpositive_cardinality_is_usage_error(self, capsys, tmp_path, C):
+        code, _, _ = run(capsys, "bench", "--grid", "10x6", "--C", C, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
 
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
         assert run(capsys, "bench", "--grid", ",", "--out", str(tmp_path / "x.csv"))[0] == 1

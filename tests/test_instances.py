@@ -248,6 +248,24 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="Y block"):
             read_instance(path)
 
+    @pytest.mark.parametrize("header, line, what", [
+        ("model nested 2\nmu 1.1 1.2\nnest 1 2\n", None, None),
+        ("model mnl\n", 5, "q"),
+        ("model nested 0_2\nmu 1.1 1.2\nnest 1 2\n", 2, "nest count"),
+        ("model nested 2\nmu 1_1 1.2\nnest 1 2\n", 3, "mu"),
+        ("model nested 2\nmu 1.1 1.2\nnest 1 0_2\n", 4, "nest index"),
+    ], ids=["valid", "q", "nest-count", "mu", "nest-index"])
+    def test_digit_separators_rejected_in_header(self, tmp_path, header, line, what):
+        # the q, mu and nest lines follow the Y block's grammar; the first case is the valid file
+        q = "1_0" if what == "q" else "10"
+        path = tmp_path / "h.mcp"
+        path.write_text(f"MCP 1\n{header}m 2\nzones 1\nq {q}\nY\n1 1\n", encoding="utf-8")
+        if line is None:
+            assert read_instance(path).q.tolist() == [10.0]
+            return
+        with pytest.raises(FormatError, match=rf":{line}: .*{what}"):
+            read_instance(path)
+
     @pytest.mark.parametrize("m, zones", [("²", "1"), ("1", "²")])
     def test_superscript_count_rejected_with_line(self, tmp_path, m, zones):
         path = tmp_path / "s.mcp"

@@ -189,6 +189,21 @@ class TestIncrementalEvaluator:
                     swapped = sorted(set(s) - {j} | {t})
                     assert vals[t] == pytest.approx(objective(inst, swapped), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_removal_values_match_scratch(self, rng, nested):
+        inst = dense_random(rng, zones=7, m=9, nested=nested)
+        ev = IncrementalEvaluator(inst)
+        for _ in range(15):
+            s = sorted(rng.choice(9, size=int(rng.integers(0, 10)), replace=False).tolist())
+            ev.reset(s)
+            vals = ev.objectives_with_removals()
+            for j in range(9):
+                if j in s:
+                    assert vals[j] == pytest.approx(objective(inst, sorted(set(s) - {j})), abs=1e-12)
+                else:
+                    assert vals[j] == np.inf
+
     @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_gradient_coefficients_match_relaxed_gradient(self, rng, nested):
         inst = dense_random(rng, zones=7, m=9, nested=nested)

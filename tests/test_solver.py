@@ -7,6 +7,7 @@ from maxcap import (
     Instance,
     MultinomialLogit,
     NestedLogit,
+    Phase,
     RunReport,
     Solution,
     SolverConfig,
@@ -48,7 +49,7 @@ class TestConfig:
 
     def test_report_rejects_decreasing_trajectory(self):
         with pytest.raises(ValueError):
-            RunReport((2.0, 1.0, 1.0), 0, 0, (0, 0, 0), "gradient")
+            RunReport(tuple(Phase(name, f, 0, 0.0) for name, f in zip("abc", (2.0, 1.0, 1.0))))
 
 
 class TestGreedy:
@@ -253,11 +254,20 @@ class TestGgx:
         assert sol.selected == (0, 1, 6)
         assert sol.objective == pytest.approx(5.852105707580, abs=1e-9)
 
+    def test_gh_runs_the_warm_up_alone(self, rng):
+        inst = dense_random(rng, zones=8, m=10, nested=True)
+        sol, report = ggx(inst, SolverConfig(C=4, algo="gh"))
+        assert sol == greedy(inst, 4)
+        assert [(p.name, p.objective, p.iterations) for p in report.phases] == [
+            ("greedy", sol.objective, 4)]
+        with pytest.raises(ValueError):
+            SolverConfig(C=4, algo="bf")
+
     def test_full_cardinality_phases_are_noops(self):
         inst = planar(zones=10, m=6, seed=2)
         sol, report = ggx(inst, SolverConfig(C=6))
         assert sol.selected == tuple(range(6))
-        assert report.subproblem_iterations == 0
+        assert report.phases[1].iterations == 0
         f1, f2, f3 = report.phase_objectives
         assert f1 == f2 == f3
 
