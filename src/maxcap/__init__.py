@@ -21,7 +21,6 @@ from .objective import (
     IncrementalEvaluator,
     Instance,
     Solution,
-    Zone,
     marginal_gain,
     mask,
     objective,
@@ -66,7 +65,6 @@ __all__ = [
     "IncrementalEvaluator",
     "Instance",
     "Solution",
-    "Zone",
     "marginal_gain",
     "mask",
     "objective",

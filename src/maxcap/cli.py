@@ -57,15 +57,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Flag converters raise ArgumentTypeError, whose text argparse prints; it
+# reports any other error under the converter's function name instead.
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -74,33 +82,27 @@ def _positive_float(text: str) -> float:
 def _float_list(text: str):
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"invalid number list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
     if not values:
-        raise _UsageError(f"empty number list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
     return values
 
 
 def _int_range(text: str):
     """Parse '2:10' as an inclusive range, or '2,5,7' / '4' as a list, of values >= 1."""
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise _UsageError(f"invalid range {text!r}") from exc
-        if lo > hi:
-            raise _UsageError(f"empty range {text!r}")
-        values = list(range(lo, hi + 1))
-    else:
-        try:
+    try:
+        if ":" in text:
+            lo, _, hi = text.partition(":")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
             values = [int(t) for t in text.split(",") if t.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"invalid integer list {text!r}") from exc
-        if not values:
-            raise _UsageError(f"empty integer list {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer range or list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range or list {text!r}")
     if min(values) < 1:
-        raise _UsageError(f"values must be >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
     return values
 
 
@@ -110,15 +112,13 @@ def _grid_list(text: str):
         piece = piece.strip()
         if not piece:
             continue
-        left, sep, right = piece.partition("x")
-        if not sep:
-            raise _UsageError(f"grid cell {piece!r} must look like '50x25'")
+        left, _, right = piece.partition("x")  # no 'x' leaves right empty, which int() rejects
         try:
             cells.append((int(left), int(right)))
-        except ValueError as exc:
-            raise _UsageError(f"grid cell {piece!r} must look like '50x25'") from exc
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"grid cell {piece!r} must look like '50x25'") from None
     if not cells:
-        raise _UsageError("empty grid")
+        raise argparse.ArgumentTypeError("empty grid")
     return cells
 
 

@@ -1,23 +1,29 @@
-"""Captured-demand objective over demand zones, with fast incremental evaluation.
+"""Captured-demand objective over demand zones, with exact incremental pricing.
 
 An :class:`Instance` holds the demand zones as two stacked arrays: weights
 ``q`` and competitor-normalized attractions ``Y`` over the ``m`` candidate
 locations, one row per zone.  Opening the subset ``S`` captures
 
-    f(S) = sum_i q_i - sum_i q_i / (1 + G_i(y_i masked to S))
+    f(S) = sum_i q_i G_i / (1 + G_i),    G_i = G(y_i masked to S)
 
 which is monotone increasing and submodular in ``S`` for every model in the
-generating-function family.  The binary relaxation ``f(x)`` replaces the mask
-with an elementwise product ``x * y`` and is differentiable; its gradient has
+generating-function family.  Every term is non-negative, so the sum never
+cancels.  The binary relaxation ``f(x)`` replaces the mask with an
+elementwise product ``x * y`` and is differentiable; its gradient has
 non-negative entries
 
     d_j = sum_i q_i * y_ij * dG_j(x * y_i) / (1 + G_i(x * y_i))^2
 
 The module-level functions recompute everything from scratch and serve as the
-reference semantics.  :class:`IncrementalEvaluator` keeps per-zone masked
-sums cached so greedy sweeps and swap scans run without re-summing.  It has
-one code path for every bundled model: multinomial logit is priced as nested
-logit with a single nest and ``mu = 1``.
+reference semantics.  :class:`IncrementalEvaluator` prices moves as exact
+gains instead of differences of totals: opening ``j`` raises zone ``i``'s
+value by ``dG_ij`` and adds
+
+    f(S + j) - f(S) = sum_i q_i / (1 + G_i) * dG_ij / (1 + G_i + dG_ij)
+
+again a sum of non-negative terms.  It has one code path for every bundled
+model: multinomial logit is priced as nested logit with a single nest and
+``mu = 1``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 from .choice_models import ChoiceModel, MultinomialLogit, NestedLogit
 
 __all__ = [
-    "Zone",
     "Instance",
     "Solution",
     "mask",
@@ -41,8 +46,15 @@ __all__ = [
 ]
 
 # Strict-improvement slack used by the solver when comparing objectives;
-# avoids oscillation on floating-point ties.
+# avoids oscillation on floating-point ties.  It is relative to max(1, f):
+# an absolute 1e-12 is below f's rounding unit (about 2.2e-16 * f) once f
+# exceeds about 4500, where it would no longer separate moves from rounding.
 IMPROVEMENT_EPS = 1e-12
+
+
+def improves(f_new: float, f_old: float) -> bool:
+    """Whether ``f_new`` beats ``f_old`` by more than the slack."""
+    return f_new > f_old + IMPROVEMENT_EPS * max(1.0, f_old)
 
 
 def _validated(q, Y):
@@ -59,43 +71,32 @@ def _validated(q, Y):
     return q, Y
 
 
-@dataclass(frozen=True, eq=False)
-class Zone:
-    """One demand zone: weight q > 0 and attraction per location (>= 0)."""
-
-    q: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _validated([self.q], [self.y])[1][0])
-
-
 class Instance:
     """Immutable problem data: stacked zone arrays plus a shared choice model.
 
     ``q`` holds the zone weights, shape ``(n_zones,)``, and ``Y`` the
-    attractions, shape ``(n_zones, m)``.  Build one from arrays with
-    :meth:`from_arrays`; ``Instance(zones, model)`` stacks :class:`Zone`
-    objects and validates through the same code.
+    attractions, shape ``(n_zones, m)``.  Build one with :meth:`from_arrays`.
     """
-
-    def __init__(self, zones, model: ChoiceModel):
-        zones = tuple(zones)
-        self._set_arrays([z.q for z in zones], [z.y for z in zones], model)
 
     @classmethod
     def from_arrays(cls, q, Y, model: ChoiceModel) -> "Instance":
-        """Instance from weights ``q`` and an attraction matrix ``Y`` (both copied)."""
-        inst = cls.__new__(cls)
-        inst._set_arrays(q, Y, model)
-        return inst
+        """Instance from weights ``q`` and an attraction matrix ``Y`` (both copied).
 
-    def _set_arrays(self, q, Y, model: ChoiceModel) -> None:
-        self.q, self.Y = _validated(q, Y)
-        model.check_dimension(self.Y.shape[1])
-        self.model = model
-        self.m = self.Y.shape[1]
-        self.total_demand = float(self.q.sum())
+        Raises ValueError on invalid arrays and on data outside the numeric
+        domain: the total weight or some zone's ``q * G`` with every location
+        open is not finite.  ``G`` grows with the selection, so every subset's
+        ``G``, nest power sum and ``q * G`` is finite too.
+        """
+        inst = cls.__new__(cls)
+        inst.q, inst.Y = _validated(q, Y)
+        model.check_dimension(inst.Y.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            captured = inst.q * model.value_rows(inst.Y)
+            inst.total_demand = float(inst.q.sum())
+        if not (np.all(np.isfinite(captured)) and np.isfinite(inst.total_demand)):
+            raise ValueError("weights or attractions too large: q * G overflows")
+        inst.model, inst.m = model, inst.Y.shape[1]
+        return inst
 
     @property
     def n_zones(self) -> int:
@@ -154,6 +155,11 @@ def _relaxation_point(inst: Instance, x) -> np.ndarray:
     return x
 
 
+def _captured(q: np.ndarray, g: np.ndarray) -> float:
+    """sum_i q_i g_i / (1 + g_i): captured demand at zone values g."""
+    return float((q * g / (1.0 + g)).sum())
+
+
 def objective(inst: Instance, selected) -> float:
     """Captured demand f(S); f(empty set) is exactly 0."""
     return objective_relaxed(inst, _indicator(selected, inst.m))
@@ -166,7 +172,7 @@ def objective_relaxed(inst: Instance, x: np.ndarray) -> float:
     path, so the agreement is exact).
     """
     g = inst.model.value_rows(inst.Y * _relaxation_point(inst, x))
-    return float(inst.total_demand - (inst.q / (1.0 + g)).sum())
+    return _captured(inst.q, g)
 
 
 def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
@@ -174,7 +180,7 @@ def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
     effective = inst.Y * _relaxation_point(inst, x)
     g = inst.model.value_rows(effective)
     dg = inst.model.grad_rows(effective)
-    weight = inst.q / (1.0 + g) ** 2
+    weight = inst.q / (1.0 + g) / (1.0 + g)
     return (inst.Y * dg * weight[:, None]).sum(axis=0)
 
 
@@ -190,45 +196,43 @@ def marginal_gain(inst: Instance, selected, j: int) -> float:
 
 
 class IncrementalEvaluator:
-    """Cached per-zone masked sums for one solver run.
+    """Exact move pricing against one cached selection, for one solver run.
 
-    Holds the current selection's per-nest power sums ``T``, their roots
-    ``V = T ** (1/mu)`` and per-zone values ``G = sum_l V_l``, so that
-    candidate additions and single swaps are priced with one vectorized pass
-    per nest instead of a full re-evaluation.  Multinomial logit is one nest
-    with ``mu = 1``; the power is skipped wherever ``mu = 1``.  Columns are
-    stored nest-major, so each nest is a contiguous block, and scans write
-    into one preallocated ``(n_zones, m)`` buffer.  State belongs to a single
-    run; it is not shared across threads.  ``reset`` rebuilds the cache from
-    scratch after every accepted move, which keeps drift out of the accepted
-    trajectory.
+    Attractions are stored location-major: one C-contiguous
+    ``(locations in nest, zones)`` block per nest, in ``nest_cols`` order,
+    next to the same block raised to the nest's ``mu``.  Multinomial logit is
+    one nest with ``mu = 1``, where the power is skipped.  The cached state is
+    the selection's per-nest power sums ``T``, their roots
+    ``V = T ** (1/mu)``, the zone values ``G = sum_l V_l`` and
+    ``f = sum q G / (1 + G)``.  :meth:`_gains` prices every location as an
+    exact gain on top of a state, and :meth:`_without` gives the state with
+    one selected location closed plus its exact loss.  Additions are
+    ``f + gains``, swaps ``(f - loss) + gains`` and removals ``f - loss``.
+    Each block is reduced over zones by one matrix-vector product.  State
+    belongs to a single run; it is not shared across threads.  ``reset``
+    rebuilds the cache from scratch after every accepted move, which keeps
+    drift out of the accepted trajectory.
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.Y = inst.Y
         self.q = inst.q
         self.m = inst.m
         if isinstance(inst.model, NestedLogit):
-            nest_of, mu = inst.model.nest_of, inst.model.mu
+            self._nest_of, self._cols = inst.model.nest_of, inst.model.nest_cols
+            self._mu = inst.model.mu
         elif isinstance(inst.model, MultinomialLogit):
-            nest_of, mu = np.zeros(self.m, dtype=np.intp), np.ones(1)
+            self._nest_of = np.zeros(self.m, dtype=np.intp)
+            self._cols, self._mu = (np.arange(self.m),), np.ones(1)
         else:
             raise TypeError("incremental evaluation supports the bundled models only")
-        self._nest_of = nest_of
-        self._mu = mu
-        self._inv_mu = 1.0 / mu
-        # nest-major column order (stable, so ascending within a nest) and,
-        # in _pos, each location's column in it
-        self._order = np.argsort(nest_of, kind="stable")
-        self._pos = np.argsort(self._order)
-        ends = np.cumsum(np.bincount(nest_of, minlength=mu.size))
-        self._blocks = [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
-        identity = np.array_equal(self._order, np.arange(self.m))
-        self._Ys = self.Y if identity else self.Y[:, self._order]
-        # attraction raised to its nest's exponent, precomputed per column
-        self._Yp = self._Ys if np.all(mu == 1.0) else self._Ys ** mu[nest_of[self._order]]
-        self._buf = np.empty_like(self.Y)
+        self._inv_mu = 1.0 / self._mu
+        # row r of block l is location cols_l[r] across all zones
+        self._Yb = [self.Y.T[cols] for cols in self._cols]
+        self._Ypb = [y if mu == 1.0 else y ** mu for y, mu in zip(self._Yb, self._mu)]
+        self._buf = np.empty((max(cols.size for cols in self._cols), self.Y.shape[0]))
+        # a nest with mu != 1 computes its dG into a second scratch block
+        self._dg = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
         self.reset(())
 
     # -- state ---------------------------------------------------------------
@@ -238,55 +242,55 @@ class IncrementalEvaluator:
         idx = _check_indices(selected, self.m)
         self._in = np.zeros(self.m, dtype=bool)
         self._in[idx] = True
-        in_sorted = self._in[self._order]
-        self._T = np.zeros((self.Y.shape[0], self._mu.size))
-        for l, block in enumerate(self._blocks):
-            chosen = np.flatnonzero(in_sorted[block]) + block.start
-            self._T[:, l] = self._Yp[:, chosen].sum(axis=1)
-        self._V = self._T ** self._inv_mu
-        self._G = self._V.sum(axis=1)
+        self._T = np.array([yp[self._in[cols]].sum(axis=0)
+                            for cols, yp in zip(self._cols, self._Ypb)])
+        self._V = np.array([t ** inv for t, inv in zip(self._T, self._inv_mu)])
+        self._G = self._V.sum(axis=0)
+        self._w = self.q / (1.0 + self._G)
+        self._f = _captured(self.q, self._G)
 
     def current_objective(self) -> float:
-        return float(self.inst.total_demand - (self.q / (1.0 + self._G)).sum())
+        return self._f
 
     # -- candidate pricing ---------------------------------------------------
 
-    def _scan(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray) -> np.ndarray:
-        """Objective after adding each single location to the given cached state.
+    def _gains(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray) -> np.ndarray:
+        """f(state + j) - f(state) for every location j of the given state.
 
-        Location j in nest l changes that nest's power sum to ``sums_l + Yp_j``
-        and the zone value to ``g_base - roots_l + (sums_l + Yp_j) ** (1/mu_l)``.
+        Opening j in nest l raises the zone values by
+        ``dG = (sums_l + Yp_j) ** (1/mu_l) - roots_l``, which is ``Yp_j``
+        itself at ``mu_l = 1``, and adds ``q / (1 + g) * dG / (1 + g + dG)``.
         """
-        buf = self._buf
-        for l, block in enumerate(self._blocks):
-            out = buf[:, block]
-            offset = (g_base - roots[:, l])[:, None]
+        opg = 1.0 + g_base
+        w = self.q / opg
+        gains = np.empty(self.m)
+        for l, (cols, yp) in enumerate(zip(self._cols, self._Ypb)):
+            buf = self._buf[:cols.size]
             if self._mu[l] == 1.0:
-                # the root is the identity: fold the nest sum into the offset,
-                # one pass over the block
-                np.add(offset + sums[:, l, None], self._Yp[:, block], out=out)
-                continue
-            np.add(sums[:, l, None], self._Yp[:, block], out=out)
-            out **= self._inv_mu[l]
-            out += offset
-        buf += 1.0
-        np.divide(self.q[:, None], buf, out=buf)
-        vals = np.empty(self.m)
-        vals[self._order] = self.inst.total_demand - buf.sum(axis=0)
-        return vals
+                dg = yp
+            else:
+                dg = np.add(yp, sums[l], out=self._dg[:cols.size])
+                dg **= self._inv_mu[l]
+                dg -= roots[l]
+            np.add(dg, opg, out=buf)
+            np.divide(dg, buf, out=buf)
+            gains[cols] = buf @ w
+        return gains
 
     def _without(self, j: int):
-        """Per-nest sums, roots and per-zone values of the selection minus selected j."""
-        lo = int(self._nest_of[j])
+        """The selection minus selected j as (sums, roots, g_base), and f(S) - f(S - j)."""
+        l = int(self._nest_of[j])
+        yp = self._Ypb[l][np.searchsorted(self._cols[l], j)]
         sums, roots = self._T.copy(), self._V.copy()
-        sums[:, lo] = np.maximum(self._T[:, lo] - self._Yp[:, self._pos[j]], 0.0)
-        roots[:, lo] = sums[:, lo] ** self._inv_mu[lo]
-        g_base = self._G - self._V[:, lo] + roots[:, lo]
-        return sums, roots, g_base
+        sums[l] -= yp  # a float sum minus one of its addends stays >= 0
+        roots[l] = sums[l] ** self._inv_mu[l]
+        dg = yp if self._mu[l] == 1.0 else self._V[l] - roots[l]
+        g_base = self._G - dg
+        return sums, roots, g_base, float(self._w @ (dg / (1.0 + g_base)))
 
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        vals = self._scan(self._T, self._V, self._G)
+        vals = self._f + self._gains(self._T, self._V, self._G)
         vals[self._in] = -np.inf
         return vals
 
@@ -294,7 +298,8 @@ class IncrementalEvaluator:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
-        vals = self._scan(*self._without(j_out))
+        *state, loss = self._without(j_out)
+        vals = (self._f - loss) + self._gains(*state)
         vals[self._in] = -np.inf
         return vals
 
@@ -302,8 +307,7 @@ class IncrementalEvaluator:
         """f(S - j) for every selected j; +inf at unselected entries."""
         vals = np.full(self.m, np.inf)
         for j in np.flatnonzero(self._in):
-            g = self._without(j)[2]
-            vals[j] = self.inst.total_demand - (self.q / (1.0 + g)).sum()
+            vals[j] = self._f - self._without(j)[3]
         return vals
 
     # -- local-search coefficients --------------------------------------------
@@ -315,39 +319,29 @@ class IncrementalEvaluator:
         for nested models with mu > 1 this assigns 0 to unselected locations
         whose nest already holds a selected one (the true one-sided
         derivative) and 1 to members of empty nests (directional limit).
-        ``marginal`` prices j outside S by f(S + j) - f(S) and j inside S by
-        f(S) - f(S - j) instead.
+        ``marginal`` prices j outside S by its gain f(S + j) - f(S) and j
+        inside S by its loss f(S) - f(S - j) instead.
         """
         if mode == "marginal":
-            f_cur = self.current_objective()
-            d = np.empty(self.m)
-            adds = self.objectives_with_additions()
-            rems = self.objectives_with_removals()
-            d[~self._in] = adds[~self._in] - f_cur
-            d[self._in] = f_cur - rems[self._in]
-            # monotonicity makes these non-negative; clip the last-ulp rounding
-            return np.maximum(d, 0.0)
+            d = self._gains(self._T, self._V, self._G)
+            for j in np.flatnonzero(self._in):
+                d[j] = self._without(j)[3]
+            return d
         if mode != "gradient":
             raise ValueError(f"unknown coefficient mode {mode!r}")
-        weight = self.q / (1.0 + self._G) ** 2
-        in_sorted = self._in[self._order]
+        weight = self._w / (1.0 + self._G)
         d = np.empty(self.m)
-        for l, block in enumerate(self._blocks):
-            y = self._Ys[:, block]
-            mu_l = self._mu[l]
-            if mu_l == 1.0:
-                d[block] = weight @ y
+        for l, (cols, y, yp) in enumerate(zip(self._cols, self._Yb, self._Ypb)):
+            if self._mu[l] == 1.0:
+                d[cols] = y @ weight
                 continue
-            s = self._T[:, l]
+            s = self._T[l]
             live = s > 0.0
-            outer = np.ones_like(s)
-            outer[live] = s[live] ** (1.0 / mu_l - 1.0)
-            # selected members: y^(mu-1) * T^(1/mu-1); other members of a
-            # live nest: 0; every member of an empty nest: the limit 1
-            dg = y ** (mu_l - 1.0) * outer[:, None]
-            dg[:, ~in_sorted[block]] = 0.0
-            dg[~live, :] = 1.0
-            d[block] = weight @ (y * dg)
-        vals = np.empty(self.m)
-        vals[self._order] = d
-        return vals
+            # where the nest is empty every member has the limit slope 1; where
+            # it is live only selected members have one, y^(mu-1) T^(1/mu-1)
+            d[cols] = y @ np.where(live, 0.0, weight)
+            slope = np.zeros_like(s)
+            slope[live] = weight[live] * s[live] ** (self._inv_mu[l] - 1.0)
+            sel = self._in[cols]
+            d[cols[sel]] += yp[sel] @ slope
+        return d

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .objective import IMPROVEMENT_EPS, IncrementalEvaluator, Instance, Solution, objective
+from .objective import IncrementalEvaluator, Instance, Solution, improves, objective
 
 __all__ = [
     "SolverConfig",
@@ -217,7 +217,7 @@ def _gradient_local_search(inst, start, cfg, deadline):
         if candidate == current:
             break
         f_cand = objective(inst, candidate)
-        if f_cand > f_cur + IMPROVEMENT_EPS:
+        if improves(f_cand, f_cur):
             current, f_cur = candidate, f_cand
             ev.reset(current)
         else:
@@ -252,7 +252,7 @@ def _exchange_search(inst, start, cfg, deadline):
         j, t = best_pair
         swapped = sorted(set(current) - {j} | {t})
         f_cand = objective(inst, swapped)
-        if f_cand <= f_cur + IMPROVEMENT_EPS:
+        if not improves(f_cand, f_cur):
             break
         current, f_cur = swapped, f_cand
         ev.reset(current)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxcap import (GeneratorParams, Instance, MultinomialLogit, NestedLogit, Zone, assign_nests,
+from maxcap import (GeneratorParams, Instance, MultinomialLogit, NestedLogit, assign_nests,
                     generate_euclidean)
 
 MU_GRID = (1.1, 1.2, 1.3, 1.4, 1.5)
@@ -29,7 +29,7 @@ def dense_random(rng, zones=6, m=9, nested=False, zero_frac=0.4):
         model = assign_nests(m, 3, (1.1, 1.3, 1.5))
     else:
         model = MultinomialLogit()
-    return Instance([Zone(q[i], Y[i]) for i in range(zones)], model)
+    return Instance.from_arrays(q, Y, model)
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from maxcap import (
     MmnlParams,
     MultinomialLogit,
     SolverConfig,
-    Zone,
     assign_nests,
     brute_force_opt,
     check_cpgf_contracts,
@@ -70,7 +69,7 @@ def small_instance(i):
         return generate_euclidean(p, model), C
     Y = rng.uniform(0.0, 3.0, (zones, m)) * (rng.random((zones, m)) < 0.6)
     q = rng.uniform(0.5, 3.0, zones)
-    return Instance([Zone(q[k], Y[k]) for k in range(zones)], model), C
+    return Instance.from_arrays(q, Y, model), C
 
 
 # -- criteria --------------------------------------------------------------------
@@ -183,8 +182,7 @@ def criterion_8(workdir):
             expanded = objective(inst, s)
             per_draw = [
                 objective(
-                    Instance([Zone(1.0, inst.Y[i * k + d]) for i in range(zones)],
-                             MultinomialLogit()),
+                    Instance.from_arrays(np.ones(zones), inst.Y[d::k], MultinomialLogit()),
                     s,
                 )
                 for d in range(k)

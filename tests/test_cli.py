@@ -227,3 +227,19 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--grid", "10x6", "--betas", "1", "--alphas", "0.1",
                          "--C", "2", "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--zones", "abc", "--locations", "5", "--out", "x.mcp"], "invalid integer 'abc'"),
+    (["generate", "--zones", "5", "--locations", "5", "--beta", "steep", "--out", "x.mcp"],
+     "invalid number 'steep'"),
+    (["bench", "--grid", "10x6", "--alphas", "0.1,low", "--out", "x.csv"],
+     "invalid number list '0.1,low'"),
+    (["bench", "--grid", "10x6", "--C", "0:2", "--out", "x.csv"], "values must be >= 1, got '0:2'"),
+    (["bench", "--grid", "10by6", "--out", "x.csv"], "grid cell '10by6' must look like '50x25'"),
+])
+def test_converter_message_reaches_stderr(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert message in err
+    assert "invalid _" not in err

@@ -5,8 +5,10 @@ from maxcap import (
     IncrementalEvaluator,
     Instance,
     MultinomialLogit,
+    NestedLogit,
     Solution,
-    Zone,
+    SolverConfig,
+    ggx,
     marginal_gain,
     mask,
     objective,
@@ -18,7 +20,7 @@ from conftest import dense_random, planar
 
 @pytest.fixture
 def one_zone():
-    return Instance([Zone(1.0, [1.0, 1.0])], MultinomialLogit())
+    return Instance.from_arrays([1.0], [[1.0, 1.0]], MultinomialLogit())
 
 
 class TestMask:
@@ -46,7 +48,7 @@ class TestObjective:
 
     def test_two_weighted_zones(self):
         # masked generating-function values 1 and 3 -> 5 - (2/2 + 3/4)
-        inst = Instance([Zone(2.0, [1.0, 0.0]), Zone(3.0, [1.0, 2.0])], MultinomialLogit())
+        inst = Instance.from_arrays([2.0, 3.0], [[1.0, 0.0], [1.0, 2.0]], MultinomialLogit())
         assert objective(inst, [0, 1]) == pytest.approx(3.25, abs=1e-12)
 
     def test_bounds(self, rng):
@@ -117,7 +119,7 @@ class TestMarginalGain:
         assert marginal_gain(one_zone, [0], 1) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_zero_attraction_location(self):
-        inst = Instance([Zone(1.0, [1.0, 0.0]), Zone(2.0, [3.0, 0.0])], MultinomialLogit())
+        inst = Instance.from_arrays([1.0, 2.0], [[1.0, 0.0], [3.0, 0.0]], MultinomialLogit())
         assert marginal_gain(inst, [0], 1) == 0.0
 
     def test_rejects_selected(self, one_zone):
@@ -157,6 +159,19 @@ class TestSolution:
         assert Solution((0, 4), 1.0).selected == (0, 4)
 
 
+def _longdouble_objective(inst, selected):
+    """f(S) straight from its definition, in extended precision."""
+    y, q = inst.Y.astype(np.longdouble), inst.q.astype(np.longdouble)
+    model = inst.model
+    if isinstance(model, NestedLogit):
+        nests = [(c[np.isin(c, selected)], mu) for c, mu in zip(model.nest_cols, model.mu)]
+    else:
+        nests = [(np.asarray(selected, dtype=int), 1.0)]
+    g = sum((y[:, c] ** np.longdouble(mu)).sum(axis=1) ** (1 / np.longdouble(mu))
+            for c, mu in nests)
+    return (q * g / (1 + g)).sum()
+
+
 class TestIncrementalEvaluator:
     @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_addition_values_match_scratch(self, rng, nested):
@@ -188,6 +203,27 @@ class TestIncrementalEvaluator:
                 else:
                     swapped = sorted(set(s) - {j} | {t})
                     assert vals[t] == pytest.approx(objective(inst, swapped), abs=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_weak_attraction_values_match_long_double(self, rng, nested):
+        # values far below the total demand keep full relative precision
+        base = dense_random(rng, zones=300, m=30, nested=nested)
+        inst = Instance.from_arrays(base.q, base.Y * (1e-4 / 3.0), base.model)
+        ev = IncrementalEvaluator(inst)
+        errors = []
+        for _ in range(4):
+            s = sorted(rng.choice(30, size=6, replace=False).tolist())
+            outside = sorted(set(range(30)) - set(s))
+            ev.reset(s)
+            moves = [(ev.objectives_with_additions(), s)]
+            moves += [(ev.objectives_with_swap(j), sorted(set(s) - {j})) for j in s]
+            for vals, kept in moves:
+                for t in outside:
+                    exact = _longdouble_objective(inst, kept + [t])
+                    errors.append(float(abs(vals[t] - exact) / exact))
+        assert max(errors) <= 1e-14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("nested", [False, True, "interleaved"])
@@ -234,14 +270,41 @@ class TestIncrementalEvaluator:
 class TestInstanceValidation:
     def test_needs_zones(self):
         with pytest.raises(ValueError):
-            Instance([], MultinomialLogit())
+            Instance.from_arrays([], [], MultinomialLogit())
 
     def test_mismatched_zone_widths(self):
         with pytest.raises(ValueError):
-            Instance([Zone(1.0, [1.0, 2.0]), Zone(1.0, [1.0])], MultinomialLogit())
+            Instance.from_arrays([1.0, 1.0], [[1.0, 2.0], [1.0]], MultinomialLogit())
 
     def test_zone_validation(self):
         with pytest.raises(ValueError):
-            Zone(0.0, [1.0])
+            Instance.from_arrays([0.0], [[1.0]], MultinomialLogit())
         with pytest.raises(ValueError):
-            Zone(1.0, [-1.0])
+            Instance.from_arrays([1.0], [[-1.0]], MultinomialLogit())
+
+
+class TestNumericDomain:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_attraction_prices_without_overflow(self, rng):
+        Y = rng.uniform(0.0, 3.0, (6, 5))
+        Y[2, 1] = 1e200
+        inst = Instance.from_arrays(np.ones(6), Y, MultinomialLogit())
+        x = np.zeros(5)
+        x[[1, 3]] = 1.0
+        assert objective(inst, [1, 3]) > 1.0
+        assert np.all(np.isfinite(objective_gradient(inst, x)))
+        ev = IncrementalEvaluator(inst)
+        ev.reset([1, 3])
+        assert np.all(np.isfinite(ev.coefficients()))
+        solution, _ = ggx(inst, SolverConfig(C=2))
+        assert 1 in solution.selected
+
+    @pytest.mark.parametrize("q, Y, model", [
+        ([1.0], [[1e308, 1e308]], MultinomialLogit()),
+        ([1.0], [[1e200, 1.0]], NestedLogit([0, 0], [2.0])),
+        ([2.0], [[1e308]], MultinomialLogit()),
+        ([1e308, 1e308], [[1.0], [1.0]], MultinomialLogit()),
+    ])
+    def test_overflowing_value_is_rejected(self, q, Y, model):
+        with pytest.raises(ValueError, match="overflow"):
+            Instance.from_arrays(q, Y, model)

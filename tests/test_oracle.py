@@ -6,7 +6,6 @@ from maxcap import (
     MultinomialLogit,
     NestedLogit,
     PropertyReport,
-    Zone,
     brute_force_opt,
     brute_force_subproblem,
     check_cpgf_contracts,
@@ -32,7 +31,7 @@ def corrupted_nested_model(m=9, mu_value=0.5):
 
 class TestBruteForceOpt:
     def test_single_location(self):
-        inst = Instance([Zone(1.0, [3.0, 2.0, 1.0])], MultinomialLogit())
+        inst = Instance.from_arrays([1.0], [[3.0, 2.0, 1.0]], MultinomialLogit())
         sol = brute_force_opt(inst, 1)
         assert sol.selected == (0,)
         assert sol.objective == pytest.approx(0.75, abs=1e-12)
@@ -42,11 +41,11 @@ class TestBruteForceOpt:
         assert brute_force_opt(inst, 4).selected == (0, 1, 2, 3)
 
     def test_symmetric_tie_break(self):
-        inst = Instance([Zone(1.0, [2.0, 2.0, 2.0, 2.0])], MultinomialLogit())
+        inst = Instance.from_arrays([1.0], [[2.0, 2.0, 2.0, 2.0]], MultinomialLogit())
         assert brute_force_opt(inst, 2).selected == (0, 1)
 
     def test_enumeration_guard(self):
-        inst = Instance([Zone(1.0, np.ones(40))], MultinomialLogit())
+        inst = Instance.from_arrays([1.0], [np.ones(40)], MultinomialLogit())
         with pytest.raises(ValueError, match=r"137846528820"):
             brute_force_opt(inst, 20)
 
@@ -79,7 +78,7 @@ class TestChecks:
 
     def test_monotonicity_zero_attraction_location_is_not_a_violation(self):
         y = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]])
-        inst = Instance([Zone(1.0, y[0]), Zone(1.0, y[1])], MultinomialLogit())
+        inst = Instance.from_arrays([1.0, 1.0], y, MultinomialLogit())
         assert check_monotonicity(inst, 200, seed=0).passed
 
     @pytest.mark.parametrize("nested", [False, True])
@@ -94,7 +93,7 @@ class TestChecks:
     def test_gradient_with_all_zero_attraction_column(self, rng):
         y = rng.uniform(0.5, 2.0, (6, 5))
         y[:, 2] = 0.0  # closed everywhere: coefficient and difference are both 0
-        inst = Instance([Zone(1.0, row) for row in y], MultinomialLogit())
+        inst = Instance.from_arrays(np.ones(len(y)), y, MultinomialLogit())
         assert check_gradient(inst, 20, seed=4).passed
 
     @pytest.mark.parametrize("nested", [False, True])
@@ -102,8 +101,8 @@ class TestChecks:
         assert check_cpgf_contracts(planar(seed=8, nested=nested), 400, seed=1).passed
 
     def test_corrupted_model_reports_without_crash(self, rng):
-        inst = Instance([Zone(1.0, rng.uniform(0, 2, 9)) for _ in range(6)],
-                        corrupted_nested_model())
+        inst = Instance.from_arrays(np.ones(6), [rng.uniform(0, 2, 9) for _ in range(6)],
+                                    corrupted_nested_model())
         report = check_submodularity(inst, 500, seed=7)
         assert report.trials == 500
         assert report.violations > 0  # informational: mu < 1 breaks diminishing returns

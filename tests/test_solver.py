@@ -11,7 +11,6 @@ from maxcap import (
     RunReport,
     Solution,
     SolverConfig,
-    Zone,
     brute_force_opt,
     brute_force_subproblem,
     exchange_search,
@@ -25,7 +24,7 @@ from conftest import dense_random, planar
 
 
 def single_zone(y):
-    return Instance([Zone(1.0, y)], MultinomialLogit())
+    return Instance.from_arrays([1.0], [y], MultinomialLogit())
 
 
 class TestConfig:
