@@ -122,12 +122,15 @@ def _grid_list(text: str):
     return cells
 
 
-def _build_model(kind: str, m: int, n_nests: int, mu):
+def _make_instance(params: GeneratorParams, kind: str, n_nests: int, mu, theta: float, samples: int):
+    """Generate one mnl, nested (``n_nests`` nests with parameters ``mu``) or mmnl instance."""
+    if kind == "mmnl":
+        return mmnl_expand(params, MmnlParams(theta=theta, samples=samples, seed=params.seed))
     if kind == "nested":
         if len(mu) != n_nests:
             raise _UsageError(f"--mu needs {n_nests} values for L={n_nests}, got {len(mu)}")
-        return assign_nests(m, n_nests, mu)
-    return MultinomialLogit()
+        return generate_euclidean(params, assign_nests(params.locations, n_nests, mu))
+    return generate_euclidean(params, MultinomialLogit())
 
 
 # -- generate -------------------------------------------------------------------
@@ -148,18 +151,14 @@ def _cmd_generate(args) -> int:
         plane_side=args.plane_side,
         seed=args.seed,
     )
-    if args.model == "mmnl":
-        mp = MmnlParams(
-            theta=args.mmnl_theta if args.mmnl_theta is not None else args.beta,
-            samples=args.mmnl_K if args.mmnl_K is not None else 100,
-            seed=args.seed,
-        )
-        inst = mmnl_expand(params, mp)
-    else:
-        n_nests = args.L if args.L is not None else 5
-        mu = tuple(args.mu) if args.mu is not None else DEFAULT_MU
-        model = _build_model(args.model, args.locations, n_nests, mu)
-        inst = generate_euclidean(params, model)
+    inst = _make_instance(
+        params,
+        args.model,
+        n_nests=args.L if args.L is not None else 5,
+        mu=args.mu if args.mu is not None else DEFAULT_MU,
+        theta=args.mmnl_theta if args.mmnl_theta is not None else args.beta,
+        samples=args.mmnl_K if args.mmnl_K is not None else 100,
+    )
     write_instance(inst, args.out)
     tag = "mnl" if isinstance(inst.model, MultinomialLogit) else "nested"
     print(f"{args.out}: zones={inst.n_zones} m={inst.m} model={tag} seed={args.seed}")
@@ -265,16 +264,6 @@ def _cmd_check(args) -> int:
 # -- bench ----------------------------------------------------------------------
 
 
-def _instance_for_cell(zones, m, model_kind, alpha, beta, seed, args):
-    params = GeneratorParams(
-        zones=zones, locations=m, competitors=args.competitors,
-        alpha=alpha, beta=beta, plane_side=args.plane_side, seed=seed,
-    )
-    if model_kind == "mmnl":
-        return mmnl_expand(params, MmnlParams(theta=beta, samples=args.mmnl_K, seed=seed))
-    return generate_euclidean(params, _build_model(model_kind, m, args.L, args.mu))
-
-
 def _bench_tasks(args):
     for zones, m in args.grid:
         for model_kind in args.models:
@@ -287,7 +276,11 @@ def _bench_tasks(args):
 
 def _run_cell(task, args):
     zones, m, model_kind, seed, alpha, beta, instance_id = task
-    inst = _instance_for_cell(zones, m, model_kind, alpha, beta, seed, args)
+    params = GeneratorParams(
+        zones=zones, locations=m, competitors=args.competitors,
+        alpha=alpha, beta=beta, plane_side=args.plane_side, seed=seed,
+    )
+    inst = _make_instance(params, model_kind, args.L, args.mu, theta=beta, samples=args.mmnl_K)
     rows = []
     for C in args.C:
         if C > m:

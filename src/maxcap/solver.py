@@ -1,14 +1,20 @@
-"""Three-phase solver: greedy warm-up, gradient-guided local search, exchange.
+"""Three-phase solver: greedy warm-up, then one improvement loop run twice.
 
 Phase 1 builds a size-C selection greedily; monotonicity plus submodularity
 of the captured-demand objective guarantee the warm start is within a
-(1 - 1/e) factor of the optimum.  Phase 2 linearizes the binary objective at
-the incumbent's indicator point and maximizes the linear model exactly over
-the region of selections within symmetric difference ``delta`` of the
-incumbent (:func:`solve_subproblem`, O(m * delta / 2) via partial selection
-of extreme coefficients).  Candidates are accepted only when the true
-objective strictly improves.  Phase 3 runs best-improvement single swaps to
-a local optimum.
+(1 - 1/e) factor of the optimum.  Phases 2 and 3 are one loop,
+:func:`_climb`, fed two proposals: propose a selection, re-price it from
+scratch with :func:`~maxcap.objective.objective`, and keep it only when the
+true objective strictly improves (:func:`~maxcap.objective.improves`);
+the first rejected proposal ends the phase.  Phase 2's proposal linearizes
+the binary objective at the incumbent's indicator point and maximizes the
+linear model exactly over the region of selections within symmetric
+difference ``delta`` of the incumbent (:func:`solve_subproblem`,
+O(m * delta / 2) via partial selection of extreme coefficients).  Phase 3's
+proposal is the best single swap, so it runs best-improvement swaps to a
+local optimum.  Both phases share one
+:class:`~maxcap.objective.IncrementalEvaluator`, reset to each accepted
+selection; greedy keeps its own.
 
 Every tie is broken deterministically (smallest index, then fewest swaps), so
 a run is a pure function of (instance, config) whenever no time budget is
@@ -193,84 +199,59 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     return frozenset(result)
 
 
-def gradient_local_search(inst: Instance, start: Solution, cfg: SolverConfig) -> Solution:
-    """Phase 2: repeat linearize-and-reselect until no strict improvement."""
-    sol, _ = _gradient_local_search(inst, start, cfg, _Deadline(cfg.time_budget))
-    return sol
+def _climb(ev, inst, start, cfg, deadline, propose):
+    """Propose, re-price and accept until a proposal fails to strictly improve.
 
-
-def _gradient_local_search(inst, start, cfg, deadline):
+    ``propose(ev, current, cfg)`` maps the incumbent (a frozenset, with
+    ``ev`` reset to it) to a candidate selection of the same size.  A full
+    selection (C = m) has no other selection to move to and runs zero
+    iterations.  Returns the final solution and the number of proposals.
+    """
     if len(start.selected) != cfg.C:
         raise ValueError(f"start selection has {len(start.selected)} locations, expected {cfg.C}")
     current = frozenset(start.selected)
     f_cur = objective(inst, current)
-    iterations = 0
-    delta = cfg.effective_delta(inst.m)
-    if delta < 2:  # C equals m (or its complement is empty): nothing to explore
-        return Solution(tuple(sorted(current)), f_cur), iterations
-    ev = IncrementalEvaluator(inst)
     ev.reset(current)
-    while not deadline.expired():
+    iterations = 0
+    while cfg.C < inst.m and not deadline.expired():
         iterations += 1
-        d = ev.coefficients(cfg.coef_mode)
-        candidate = solve_subproblem(d, current, cfg.C, delta)
-        if candidate == current:
-            break
+        candidate = propose(ev, current, cfg)
         f_cand = objective(inst, candidate)
-        if improves(f_cand, f_cur):
-            current, f_cur = candidate, f_cand
-            ev.reset(current)
-        else:
+        if not improves(f_cand, f_cur):
             break
+        current, f_cur = candidate, f_cand
+        ev.reset(current)
     return Solution(tuple(sorted(current)), f_cur), iterations
+
+
+def _linear_model_move(ev, current, cfg):
+    """Phase 2's proposal: the best selection of the linear model within delta of current."""
+    delta = cfg.effective_delta(ev.m)
+    return solve_subproblem(ev.coefficients(cfg.coef_mode), current, cfg.C, delta)
+
+
+def _best_swap(ev, current, _cfg):
+    """Phase 3's proposal: the best single swap by the evaluator's prices."""
+    best_val, best_pair = -np.inf, None
+    for j in sorted(current):  # ascending: the first strict maximum is the smallest (j, t) pair
+        vals = ev.objectives_with_swap(j)
+        t = int(np.argmax(vals))
+        if vals[t] > best_val:
+            best_val, best_pair = float(vals[t]), (j, t)
+    j, t = best_pair
+    return current - {j} | {t}
+
+
+def gradient_local_search(inst: Instance, start: Solution, cfg: SolverConfig) -> Solution:
+    """Phase 2: repeat linearize-and-reselect until no strict improvement."""
+    ev, deadline = IncrementalEvaluator(inst), _Deadline(cfg.time_budget)
+    return _climb(ev, inst, start, cfg, deadline, _linear_model_move)[0]
 
 
 def exchange_search(inst: Instance, start: Solution, cfg: SolverConfig) -> Solution:
     """Phase 3: best-improvement single swaps until locally optimal."""
-    sol, _ = _exchange_search(inst, start, cfg, _Deadline(cfg.time_budget))
-    return sol
-
-
-def _exchange_search(inst, start, cfg, deadline):
-    if len(start.selected) != cfg.C:
-        raise ValueError(f"start selection has {len(start.selected)} locations, expected {cfg.C}")
-    current = list(start.selected)
-    f_cur = objective(inst, current)
-    iterations = 0
-    ev = IncrementalEvaluator(inst)
-    ev.reset(current)
-    while len(current) < inst.m and not deadline.expired():
-        iterations += 1
-        best_val, best_pair = -np.inf, None
-        for j in current:  # ascending: the first strict maximum is the smallest (j, t) pair
-            vals = ev.objectives_with_swap(j)
-            t = int(np.argmax(vals))
-            if vals[t] > best_val:
-                best_val, best_pair = float(vals[t]), (j, t)
-        if best_pair is None:
-            break
-        j, t = best_pair
-        swapped = sorted(set(current) - {j} | {t})
-        f_cand = objective(inst, swapped)
-        if not improves(f_cand, f_cur):
-            break
-        current, f_cur = swapped, f_cand
-        ev.reset(current)
-    return Solution(tuple(current), f_cur), iterations
-
-
-def _warm_up(inst, _start, cfg, _deadline):
-    # greedy is looked up at call time, so a wrapper installed on the module sees it
-    return greedy(inst, cfg.C), cfg.C
-
-
-# (name, step) in run order; a step maps (inst, start, cfg, deadline) to
-# (solution, iterations).  "gh" runs the first phase only.
-_PHASES = (
-    ("greedy", _warm_up),
-    ("gradient", _gradient_local_search),
-    ("exchange", _exchange_search),
-)
+    ev, deadline = IncrementalEvaluator(inst), _Deadline(cfg.time_budget)
+    return _climb(ev, inst, start, cfg, deadline, _best_swap)[0]
 
 
 def ggx(inst: Instance, cfg: SolverConfig):
@@ -278,14 +259,22 @@ def ggx(inst: Instance, cfg: SolverConfig):
 
     The warm-up always runs to completion so the returned selection has
     exactly C locations; the time budget gates phases 2 and 3, checked
-    between iterations.
+    between iterations.  Each phase's wall time runs from the end of the
+    previous one, so phase 2's includes building the shared evaluator.
     """
     if cfg.C > inst.m:
         raise ValueError(f"cardinality C={cfg.C} exceeds m={inst.m}")
     deadline = _Deadline(cfg.time_budget)
-    solution, phases = None, []
-    for name, step in _PHASES[:1] if cfg.algo == "gh" else _PHASES:
-        t0 = time.perf_counter()
-        solution, iterations = step(inst, solution, cfg, deadline)
-        phases.append(Phase(name, solution.objective, iterations, (time.perf_counter() - t0) * 1e3))
+    t0 = time.perf_counter()
+    # greedy is looked up at call time, so a wrapper installed on the module sees it
+    solution = greedy(inst, cfg.C)
+    t1 = time.perf_counter()
+    phases = [Phase("greedy", solution.objective, cfg.C, (t1 - t0) * 1e3)]
+    if cfg.algo == "ggx":
+        ev = IncrementalEvaluator(inst)
+        for name, propose in (("gradient", _linear_model_move), ("exchange", _best_swap)):
+            t0 = t1
+            solution, iterations = _climb(ev, inst, solution, cfg, deadline, propose)
+            t1 = time.perf_counter()
+            phases.append(Phase(name, solution.objective, iterations, (t1 - t0) * 1e3))
     return solution, RunReport(tuple(phases))

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +136,21 @@ class TestSolve:
 
     def test_odd_delta_is_usage_error(self, capsys, instance_file):
         assert run(capsys, "solve", str(instance_file), "--C", "3", "--delta", "3")[0] == 1
+
+    def test_readme_json_example(self, capsys, tmp_path, monkeypatch):
+        # README's own generate and solve commands print its JSON report block
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        generate = next(c for c in commands if c.startswith("maxcap generate --") and c.endswith(" a.mcp"))
+        solve = next(c for c in commands if c == "maxcap solve a.mcp --C 5 --json")
+        expected = json.loads(re.search(r"## JSON report schema.*?```json\n(.*?)```", readme, re.S)[1])
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *shlex.split(generate)[1:])[0] == 0
+        code, raw, _ = run(capsys, *shlex.split(solve)[1:])
+        assert code == 0
+        # selected, objective and every phase record, wall_ms 0.0 included
+        assert json.loads(raw) == expected
 
 
 class TestCheck:

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import maxcap.solver
 from maxcap import (
     Instance,
     MultinomialLogit,
@@ -267,6 +268,7 @@ class TestGgx:
         sol, report = ggx(inst, SolverConfig(C=6))
         assert sol.selected == tuple(range(6))
         assert report.phases[1].iterations == 0
+        assert report.phases[2].iterations == 0
         f1, f2, f3 = report.phase_objectives
         assert f1 == f2 == f3
 
@@ -296,8 +298,23 @@ class TestGgx:
         inst = planar(zones=20, m=12, seed=6, nested=True)
         sol, report = ggx(inst, SolverConfig(C=4, time_budget=1e-9))
         assert len(sol.selected) == 4
+        assert report.phases[1].iterations == report.phases[2].iterations == 0
         f1, f2, f3 = report.phase_objectives
         assert f1 <= f2 <= f3
+
+    def test_local_search_phases_share_one_evaluator(self, rng, monkeypatch):
+        built = []
+
+        class Counting(maxcap.solver.IncrementalEvaluator):
+            def __init__(self, inst):
+                built.append(inst)
+                super().__init__(inst)
+
+        monkeypatch.setattr(maxcap.solver, "IncrementalEvaluator", Counting)
+        inst = dense_random(rng, zones=8, m=10, nested=True)
+        _, report = ggx(inst, SolverConfig(C=4))
+        assert [p.name for p in report.phases] == ["greedy", "gradient", "exchange"]
+        assert len(built) == 2  # greedy's own, then one shared by gradient and exchange
 
     def test_rejects_oversized_cardinality(self):
         inst = single_zone([1.0, 2.0])
