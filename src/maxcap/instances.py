@@ -53,8 +53,11 @@ class GeneratorParams:
     ``alpha`` scales how strongly competitor utilities decay with distance
     (their utility is ``-beta * alpha * c``); ``beta`` is the customers'
     distance sensitivity.  ``plane_side`` is the side of the square the
-    points are drawn from; the default keeps clamping inactive for the
-    standard alpha/beta grids.  Demand weights are uniform (q = 1).
+    points are drawn from.  On the default plane, clamping is the norm above
+    beta 1: a 50 x 25 instance at seed 0 clamps 215 of its 1250 location
+    utilities at beta 2, 984 at beta 5 and 1167 at beta 10.  The utility
+    floor of -50 keeps every attraction nonzero, so every location
+    attracts every zone a little.  Demand weights are uniform (q = 1).
     """
 
     zones: int

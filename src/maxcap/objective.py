@@ -204,14 +204,24 @@ class IncrementalEvaluator:
     one nest with ``mu = 1``, where the power is skipped.  The cached state is
     the selection's per-nest power sums ``T``, their roots
     ``V = T ** (1/mu)``, the zone values ``G = sum_l V_l`` and
-    ``f = sum q G / (1 + G)``.  :meth:`_gains` prices every location as an
-    exact gain on top of a state, and :meth:`_without` gives the state with
-    one selected location closed plus its exact loss.  Additions are
-    ``f + gains``, swaps ``(f - loss) + gains`` and removals ``f - loss``.
-    Each block is reduced over zones by one matrix-vector product.  State
-    belongs to a single run; it is not shared across threads.  ``reset``
-    rebuilds the cache from scratch after every accepted move, which keeps
-    drift out of the accepted trajectory.
+    ``f = sum q G / (1 + G)``.  Opening location ``t`` of nest ``l`` raises
+    the zone values by ``dG = (T_l + Yp_t) ** (1/mu_l) - V_l`` (``Yp_t``
+    itself at ``mu_l = 1``), and :meth:`_gains` turns per-nest ``dG``
+    blocks into exact gains on top of zone values ``g``.  :meth:`_without`
+    gives the state with one selected location closed plus its exact loss.
+    Additions are ``f + gains``, swaps ``(f - loss) + gains`` and removals
+    ``f - loss``; :meth:`gains` prices a chosen list of locations alone.
+    Each block is reduced over zones by one matrix-vector product.
+
+    Closing ``j_out`` changes only its own nest's sums, so every other
+    nest's ``dG`` block is the same for all swap scans at one selection:
+    the blocks at the current state are computed on first use after a
+    ``reset`` and kept until the next one, and a swap scan recomputes nest
+    ``lo`` of ``j_out`` alone.  Nests with ``mu = 1`` need no cache, since
+    their ``dG`` is the stored block itself.  State belongs to a single
+    run; it is not shared across threads.  ``reset`` rebuilds the cache
+    from scratch after every accepted move, which keeps drift out of the
+    accepted trajectory.
     """
 
     def __init__(self, inst: Instance):
@@ -231,8 +241,8 @@ class IncrementalEvaluator:
         self._Yb = [self.Y.T[cols] for cols in self._cols]
         self._Ypb = [y if mu == 1.0 else y ** mu for y, mu in zip(self._Yb, self._mu)]
         self._buf = np.empty((max(cols.size for cols in self._cols), self.Y.shape[0]))
-        # a nest with mu != 1 computes its dG into a second scratch block
-        self._dg = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
+        # a nest with mu != 1 computes a swap scan's dG into a second scratch block
+        self._scratch = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
         self.reset(())
 
     # -- state ---------------------------------------------------------------
@@ -248,49 +258,87 @@ class IncrementalEvaluator:
         self._G = self._V.sum(axis=0)
         self._w = self.q / (1.0 + self._G)
         self._f = _captured(self.q, self._G)
+        self._dgs = None
 
     def current_objective(self) -> float:
         return self._f
 
     # -- candidate pricing ---------------------------------------------------
 
-    def _gains(self, sums: np.ndarray, roots: np.ndarray, g_base: np.ndarray) -> np.ndarray:
-        """f(state + j) - f(state) for every location j of the given state.
+    def _dg(self, l: int, yp: np.ndarray, sums: np.ndarray, roots: np.ndarray, out) -> np.ndarray:
+        """dG of opening each row of ``yp`` (nest l) on the nest state (sums, roots).
 
-        Opening j in nest l raises the zone values by
-        ``dG = (sums_l + Yp_j) ** (1/mu_l) - roots_l``, which is ``Yp_j``
-        itself at ``mu_l = 1``, and adds ``q / (1 + g) * dG / (1 + g + dG)``.
+        Written into the leading rows of ``out``, unless ``mu_l = 1``.
+        """
+        if self._mu[l] == 1.0:
+            return yp
+        out = np.add(yp, sums, out=out[:len(yp)])
+        out **= self._inv_mu[l]
+        out -= roots
+        return out
+
+    def _state_dgs(self) -> list:
+        """Every nest's dG block at the current state, computed once per ``reset``."""
+        if self._dgs is None:
+            # one (m, zones) array holds every block, so a reset frees it whole
+            out = None if self._scratch is None else np.empty((self.m, self.q.size))
+            starts = np.cumsum([0] + [cols.size for cols in self._cols])
+            self._dgs = [self._dg(l, yp, t, v, None if out is None else out[r:])
+                         for l, (yp, t, v, r) in enumerate(zip(self._Ypb, self._T, self._V, starts))]
+        return self._dgs
+
+    def _price(self, dg: np.ndarray, opg: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i * dG_i / (opg_i + dG_i) for each row of dg."""
+        buf = self._buf[:dg.shape[0]]
+        np.add(dg, opg, out=buf)
+        np.divide(dg, buf, out=buf)
+        return buf @ w
+
+    def _gains(self, dgs, g_base: np.ndarray) -> np.ndarray:
+        """f(state + j) - f(state) for every location j, from per-nest dG blocks.
+
+        Opening j raises the zone values ``g_base`` by ``dG_j`` and adds
+        ``q / (1 + g) * dG / (1 + g + dG)``.
         """
         opg = 1.0 + g_base
         w = self.q / opg
         gains = np.empty(self.m)
-        for l, (cols, yp) in enumerate(zip(self._cols, self._Ypb)):
-            buf = self._buf[:cols.size]
-            if self._mu[l] == 1.0:
-                dg = yp
-            else:
-                dg = np.add(yp, sums[l], out=self._dg[:cols.size])
-                dg **= self._inv_mu[l]
-                dg -= roots[l]
-            np.add(dg, opg, out=buf)
-            np.divide(dg, buf, out=buf)
-            gains[cols] = buf @ w
+        for cols, dg in zip(self._cols, dgs):
+            gains[cols] = self._price(dg, opg, w)
         return gains
 
     def _without(self, j: int):
-        """The selection minus selected j as (sums, roots, g_base), and f(S) - f(S - j)."""
+        """Selected j's nest l, its (sums, roots) and the zone values with j closed, and f(S) - f(S - j)."""
         l = int(self._nest_of[j])
         yp = self._Ypb[l][np.searchsorted(self._cols[l], j)]
-        sums, roots = self._T.copy(), self._V.copy()
-        sums[l] -= yp  # a float sum minus one of its addends stays >= 0
-        roots[l] = sums[l] ** self._inv_mu[l]
-        dg = yp if self._mu[l] == 1.0 else self._V[l] - roots[l]
+        sums = self._T[l] - yp  # a float sum minus one of its addends stays >= 0
+        roots = sums ** self._inv_mu[l]
+        dg = yp if self._mu[l] == 1.0 else self._V[l] - roots
         g_base = self._G - dg
-        return sums, roots, g_base, float(self._w @ (dg / (1.0 + g_base)))
+        return l, sums, roots, g_base, float(self._w @ (dg / (1.0 + g_base)))
+
+    def gains(self, cols) -> np.ndarray:
+        """f(S + j) - f(S) for each listed location j outside S.
+
+        The terms are the additions scan's, bit for bit; only the order of
+        the sum over zones may differ, so a value can differ from
+        ``objectives_with_additions()[j] - f`` by rounding.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        if np.any(self._in[cols]):
+            raise ValueError("gains are priced for unselected locations only")
+        gains = np.empty(cols.size)
+        opg = 1.0 + self._G
+        nests = self._nest_of[cols]
+        for l in sorted(set(nests.tolist())):
+            pick = nests == l
+            yp = self._Ypb[l][np.searchsorted(self._cols[l], cols[pick])]  # a copy: dG may overwrite it
+            gains[pick] = self._price(self._dg(l, yp, self._T[l], self._V[l], yp), opg, self._w)
+        return gains
 
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        vals = self._f + self._gains(self._T, self._V, self._G)
+        vals = self._f + self._gains(self._state_dgs(), self._G)
         vals[self._in] = -np.inf
         return vals
 
@@ -298,8 +346,10 @@ class IncrementalEvaluator:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
-        *state, loss = self._without(j_out)
-        vals = (self._f - loss) + self._gains(*state)
+        lo, sums, roots, g_base, loss = self._without(j_out)
+        dgs = list(self._state_dgs())
+        dgs[lo] = self._dg(lo, self._Ypb[lo], sums, roots, self._scratch)
+        vals = (self._f - loss) + self._gains(dgs, g_base)
         vals[self._in] = -np.inf
         return vals
 
@@ -307,7 +357,7 @@ class IncrementalEvaluator:
         """f(S - j) for every selected j; +inf at unselected entries."""
         vals = np.full(self.m, np.inf)
         for j in np.flatnonzero(self._in):
-            vals[j] = self._f - self._without(j)[3]
+            vals[j] = self._f - self._without(j)[4]
         return vals
 
     # -- local-search coefficients --------------------------------------------
@@ -323,9 +373,9 @@ class IncrementalEvaluator:
         inside S by its loss f(S) - f(S - j) instead.
         """
         if mode == "marginal":
-            d = self._gains(self._T, self._V, self._G)
+            d = self._gains(self._state_dgs(), self._G)
             for j in np.flatnonzero(self._in):
-                d[j] = self._without(j)[3]
+                d[j] = self._without(j)[4]
             return d
         if mode != "gradient":
             raise ValueError(f"unknown coefficient mode {mode!r}")

@@ -117,18 +117,55 @@ class _Deadline:
 
 
 def greedy(inst: Instance, C: int) -> Solution:
-    """Warm-up: add the best-gain location C times, ties to the smallest index."""
+    """Warm-up: add the best-gain location C times, ties to the smallest index.
+
+    Lazy (Minoux 1978): the first step prices every location with one
+    additions scan; later steps re-price only candidates whose stale gain
+    could still win.  Submodularity makes a location's last priced gain an
+    upper bound on its gain now, so candidates are re-priced in descending
+    order of ``f + bound`` until every stale one falls more than a rounding
+    slack below the best fresh ``f + gain``.  The slack covers what rounding
+    can add to a gain that cannot rise, and the last-place differences
+    between :meth:`~maxcap.objective.IncrementalEvaluator.gains` and the
+    additions scan.  When two fresh values lie within it of each other, the
+    step is decided by a full additions scan instead, so every step picks
+    what the eager argmax over ``f + gains`` picks, ties included.
+    """
     if C < 1 or C > inst.m:
         raise ValueError(f"cardinality must satisfy 1 <= C <= {inst.m}, got {C}")
     ev = IncrementalEvaluator(inst)
-    chosen: list[int] = []
-    for _ in range(C):
-        vals = ev.objectives_with_additions()
-        j = int(np.argmax(vals))  # argmax returns the first maximum: smallest index
-        chosen.append(j)
+    bound = ev.objectives_with_additions()  # f(empty) = 0, so these are the first gains exactly
+    chosen = [int(np.argmax(bound))]  # argmax returns the first maximum: smallest index
+    for _ in range(1, C):
         ev.reset(chosen)
+        bound[chosen[-1]] = -np.inf
+        chosen.append(_lazy_pick(ev, bound, inst.m - len(chosen)))
     chosen.sort()
     return Solution(tuple(chosen), objective(inst, chosen))
+
+
+def _lazy_pick(ev, bound, n_open):
+    """Greedy's next location; ``bound`` holds stale gains, refreshed in place."""
+    f = ev.current_objective()
+    # a gain sums n_zones non-negative terms, each off by a few units in the
+    # last place, so in any order it is off by at most about n_zones of them;
+    # twice that covers a stale and a fresh value, or one gain in two orders
+    tol = 4.0 * (ev.q.size + 8) * np.finfo(float).eps
+    order = np.argsort(-bound)[:n_open]  # largest bound first; -inf (selected) last
+    done, batch = 0, 1
+    while True:
+        fresh = order[done:done + batch]
+        bound[fresh] = ev.gains(fresh)
+        done, batch = done + fresh.size, 2 * batch
+        vals = f + bound[order[:done]]
+        best = vals.max()
+        slack = tol * abs(best)
+        if done == n_open or f + bound[order[done]] < best - slack:
+            break
+    near = order[:done][vals >= best - slack]
+    if near.size > 1:  # a near-tie: decide it on the eager scan's values
+        return int(np.argmax(ev.objectives_with_additions()))
+    return int(near[0])
 
 
 def _k_extreme(d: np.ndarray, pool: np.ndarray, k: int, largest: bool) -> np.ndarray:
@@ -199,18 +236,20 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     return frozenset(result)
 
 
-def _climb(ev, inst, start, cfg, deadline, propose):
+def _climb(ev, inst, start, cfg, deadline, propose, f_start=None):
     """Propose, re-price and accept until a proposal fails to strictly improve.
 
     ``propose(ev, current, cfg)`` maps the incumbent (a frozenset, with
     ``ev`` reset to it) to a candidate selection of the same size.  A full
     selection (C = m) has no other selection to move to and runs zero
-    iterations.  Returns the final solution and the number of proposals.
+    iterations.  ``f_start`` is ``objective(inst, start)`` when the caller
+    has just computed it; otherwise the start is priced here.  Returns the
+    final solution and the number of proposals.
     """
     if len(start.selected) != cfg.C:
         raise ValueError(f"start selection has {len(start.selected)} locations, expected {cfg.C}")
     current = frozenset(start.selected)
-    f_cur = objective(inst, current)
+    f_cur = objective(inst, current) if f_start is None else f_start
     ev.reset(current)
     iterations = 0
     while cfg.C < inst.m and not deadline.expired():
@@ -274,7 +313,9 @@ def ggx(inst: Instance, cfg: SolverConfig):
         ev = IncrementalEvaluator(inst)
         for name, propose in (("gradient", _linear_model_move), ("exchange", _best_swap)):
             t0 = t1
-            solution, iterations = _climb(ev, inst, solution, cfg, deadline, propose)
+            # every phase's objective is objective() of its selection: no need to re-price it
+            solution, iterations = _climb(ev, inst, solution, cfg, deadline, propose,
+                                          solution.objective)
             t1 = time.perf_counter()
             phases.append(Phase(name, solution.objective, iterations, (t1 - t0) * 1e3))
     return solution, RunReport(tuple(phases))

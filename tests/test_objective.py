@@ -225,6 +225,44 @@ class TestIncrementalEvaluator:
                     errors.append(float(abs(vals[t] - exact) / exact))
         assert max(errors) <= 1e-14
 
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_swap_values_after_reset_match_fresh_evaluator(self, rng, nested):
+        # the per-nest dG blocks cached by the scans at s1 must not leak into s2
+        inst = dense_random(rng, zones=40, m=12, nested=nested)
+        s1, s2 = [0, 3, 5, 8], [1, 3, 6, 10]
+        ev = IncrementalEvaluator(inst)
+        ev.reset(s1)
+        for j in s1:
+            ev.objectives_with_swap(j)
+        ev.reset(s2)
+        fresh = IncrementalEvaluator(inst)
+        fresh.reset(s2)
+        for j in s2:
+            assert ev.objectives_with_swap(j).tobytes() == fresh.objectives_with_swap(j).tobytes()
+
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_swap_values_do_not_depend_on_scan_order(self, rng, nested):
+        inst = dense_random(rng, zones=40, m=12, nested=nested)
+        s = [0, 2, 5, 7, 9, 11]
+        forward, backward = IncrementalEvaluator(inst), IncrementalEvaluator(inst)
+        forward.reset(s)
+        backward.reset(s)
+        ahead = {j: forward.objectives_with_swap(j).tobytes() for j in s}
+        for j in reversed(s):
+            assert backward.objectives_with_swap(j).tobytes() == ahead[j]
+
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_listed_gains_match_additions_scan(self, rng, nested):
+        inst = dense_random(rng, zones=40, m=12, nested=nested)
+        ev = IncrementalEvaluator(inst)
+        for s in ([], [4], [0, 3, 5, 8]):
+            ev.reset(s)
+            cols = [j for j in (11, 2, 7, 1, 6) if j not in s]
+            expected = ev.objectives_with_additions()[cols] - ev.current_objective()
+            assert ev.gains(cols) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        with pytest.raises(ValueError):
+            ev.gains([3, 7])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("nested", [False, True, "interleaved"])
     def test_removal_values_match_scratch(self, rng, nested):

@@ -5,6 +5,7 @@ import pytest
 
 import maxcap.solver
 from maxcap import (
+    IncrementalEvaluator,
     Instance,
     MultinomialLogit,
     NestedLogit,
@@ -26,6 +27,16 @@ from conftest import dense_random, planar
 
 def single_zone(y):
     return Instance.from_arrays([1.0], [y], MultinomialLogit())
+
+
+def eager_greedy(inst, C):
+    """The warm-up without lazy bounds: one full additions scan per step."""
+    ev = IncrementalEvaluator(inst)
+    chosen = []
+    for _ in range(C):
+        chosen.append(int(np.argmax(ev.objectives_with_additions())))
+        ev.reset(chosen)
+    return tuple(sorted(chosen))
 
 
 class TestConfig:
@@ -90,6 +101,60 @@ class TestGreedy:
             best = max(gains, key=lambda g: (g[0], -g[1]))
             s.append(best[1])
         assert sol.selected == tuple(sorted(s))
+
+
+class TestLazyGreedy:
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_matches_eager_greedy(self, rng, nested):
+        for _ in range(10):
+            inst = dense_random(rng, zones=40, m=24, nested=nested, zero_frac=0.6)
+            for C in (1, 5, 12, 24):
+                assert greedy(inst, C).selected == eager_greedy(inst, C)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_duplicated_columns_tie_to_smallest_index(self, rng, nested):
+        base = dense_random(rng, zones=30, m=8, nested=False)
+        Y = base.Y[:, [0, 1, 0, 2, 1, 3, 0, 4, 5, 2, 6, 7]]
+        model = NestedLogit([j % 3 for j in range(12)], (1.0, 1.3, 1.3)) if nested else MultinomialLogit()
+        inst = Instance.from_arrays(base.q, Y, model)
+        for C in range(1, 13):
+            assert greedy(inst, C).selected == eager_greedy(inst, C)
+        assert greedy(single_zone([2.0, 1.0, 2.0, 1.0, 2.0]), 4).selected == (0, 1, 2, 4)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_all_zero_column(self, rng, nested):
+        base = dense_random(rng, zones=20, m=10, nested=nested)
+        Y = base.Y.copy()
+        Y[:, 4] = 0.0
+        inst = Instance.from_arrays(base.q, Y, base.model)
+        for C in (3, 9, 10):
+            assert greedy(inst, C).selected == eager_greedy(inst, C)
+        assert 4 not in greedy(inst, 9).selected
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_clamp_floor_instance(self, nested):
+        # beta 5 clamps most utilities to the floor, so most gains are tiny but nonzero
+        inst = planar(zones=300, m=60, beta=5.0, seed=4, nested=nested)
+        for C in (10, 30, 60):
+            assert greedy(inst, C).selected == eager_greedy(inst, C)
+
+    def test_prices_few_columns(self, monkeypatch):
+        priced = []
+
+        class Counting(maxcap.solver.IncrementalEvaluator):
+            def gains(self, cols):
+                priced.append(len(cols))
+                return super().gains(cols)
+
+            def objectives_with_additions(self):
+                priced.append(self.m)
+                return super().objectives_with_additions()
+
+        monkeypatch.setattr(maxcap.solver, "IncrementalEvaluator", Counting)
+        inst = planar(zones=300, m=60, beta=5.0, seed=2)
+        C = 10
+        assert greedy(inst, C).selected == eager_greedy(inst, C)
+        assert sum(priced) < C * inst.m / 2
 
 
 class TestSubproblem:
@@ -315,6 +380,21 @@ class TestGgx:
         _, report = ggx(inst, SolverConfig(C=4))
         assert [p.name for p in report.phases] == ["greedy", "gradient", "exchange"]
         assert len(built) == 2  # greedy's own, then one shared by gradient and exchange
+
+    def test_phase_hand_offs_are_not_repriced(self, rng, monkeypatch):
+        calls = []
+
+        def counting_objective(inst, selected):
+            calls.append(selected)
+            return objective(inst, selected)
+
+        monkeypatch.setattr(maxcap.solver, "objective", counting_objective)
+        for nested in (False, True):
+            inst = dense_random(rng, zones=12, m=10, nested=nested)
+            calls.clear()
+            _, report = ggx(inst, SolverConfig(C=4))
+            # greedy's result, then one proposal per local-search iteration
+            assert len(calls) == 1 + report.phases[1].iterations + report.phases[2].iterations
 
     def test_rejects_oversized_cardinality(self):
         inst = single_zone([1.0, 2.0])
