@@ -77,13 +77,15 @@ class ChoiceModel(abc.ABC):
         Uses the Euler identity ``sum_j y_j dG_j = G`` so the returned vector
         sums to one up to rounding.
         """
-        y = np.asarray(y, dtype=float)
-        g = self.value(y)
-        dg = self.grad(y)
-        denom = 1.0 + g
-        p = np.empty(y.shape[0] + 1)
-        p[:-1] = y * dg / denom
-        p[-1] = 1.0 / denom
+        return self.probabilities_rows(np.atleast_2d(np.asarray(y, dtype=float)))[0]
+
+    def probabilities_rows(self, y_rows: np.ndarray) -> np.ndarray:
+        """:meth:`probabilities` of each row of a (n, m) attraction matrix, shape (n, m + 1)."""
+        y_rows = np.asarray(y_rows, dtype=float)
+        denom = 1.0 + self.value_rows(y_rows)
+        p = np.empty((len(y_rows), y_rows.shape[-1] + 1))
+        p[:, :-1] = y_rows * self.grad_rows(y_rows) / denom[:, None]
+        p[:, -1] = 1.0 / denom
         return p
 
 

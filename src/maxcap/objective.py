@@ -15,9 +15,11 @@ non-negative entries
     d_j = sum_i q_i * y_ij * dG_j(x * y_i) / (1 + G_i(x * y_i))^2
 
 The module-level functions recompute everything from scratch and serve as the
-reference semantics.  :class:`IncrementalEvaluator` prices moves as exact
-gains instead of differences of totals: opening ``j`` raises zone ``i``'s
-value by ``dG_ij`` and adds
+reference semantics.  The relaxation and its gradient also take a ``(B, m)``
+batch of points, priced in chunks of rows that bound memory, each row bit
+for bit as the single point.  :class:`IncrementalEvaluator` prices moves as
+exact gains instead of differences of totals: opening ``j`` raises zone
+``i``'s value by ``dG_ij`` and adds
 
     f(S + j) - f(S) = sum_i q_i / (1 + G_i) * dG_ij / (1 + G_i + dG_ij)
 
@@ -146,18 +148,55 @@ def _indicator(selected, m: int) -> np.ndarray:
     return x
 
 
-def _relaxation_point(inst: Instance, x) -> np.ndarray:
+def _captured(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_i q_i g_i / (1 + g_i) over the last axis: captured demand at zone values g."""
+    return (q * g / (1.0 + g)).sum(axis=-1)
+
+
+# A batch of relaxation points is priced in chunks of rows holding at most
+# this many zone x location cells, which bounds each temporary at 512 KiB.
+_CHUNK_CELLS = 1 << 16
+
+
+def _per_point(inst: Instance, x, price):
+    """``price`` applied to the points in ``x``, in chunks of rows.
+
+    ``x`` is one point of shape ``(m,)`` or a batch of shape ``(B, m)``;
+    ``price`` maps a ``(b, m)`` block of rows to one result per row.  A single
+    point is the batch of one, and its result is returned without the batch
+    axis.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (inst.m,):
-        raise ValueError(f"x must have shape ({inst.m},), got {x.shape}")
+    if x.shape[-1:] != (inst.m,) or x.ndim > 2:
+        want = f"({inst.m},)" if x.ndim < 2 else f"(B, {inst.m})"
+        raise ValueError(f"x must have shape {want}, got {x.shape}")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("relaxation point entries must lie in [0, 1]")
-    return x
+    rows = x.reshape(-1, inst.m)
+    step = max(1, _CHUNK_CELLS // inst.Y.size)
+    if len(rows) <= step:
+        out = price(inst, rows)
+    else:
+        out = np.concatenate([price(inst, rows[k:k + step]) for k in range(0, len(rows), step)])
+    return out if x.ndim == 2 else out[0]
 
 
-def _captured(q: np.ndarray, g: np.ndarray) -> float:
-    """sum_i q_i g_i / (1 + g_i): captured demand at zone values g."""
-    return float((q * g / (1.0 + g)).sum())
+def _effective(inst: Instance, rows: np.ndarray) -> np.ndarray:
+    """The attractions seen at each point: ``Y * x`` stacked, shape (rows * zones, m)."""
+    return (inst.Y * rows[:, None, :]).reshape(-1, inst.m)
+
+
+def _values(inst: Instance, rows: np.ndarray) -> np.ndarray:
+    g = inst.model.value_rows(_effective(inst, rows)).reshape(len(rows), inst.n_zones)
+    return _captured(inst.q, g)
+
+
+def _gradients(inst: Instance, rows: np.ndarray) -> np.ndarray:
+    effective = _effective(inst, rows)
+    g = inst.model.value_rows(effective).reshape(len(rows), inst.n_zones)
+    dg = inst.model.grad_rows(effective).reshape(len(rows), *inst.Y.shape)
+    weight = inst.q / (1.0 + g) / (1.0 + g)
+    return (inst.Y * dg * weight[..., None]).sum(axis=1)
 
 
 def objective(inst: Instance, selected) -> float:
@@ -165,23 +204,26 @@ def objective(inst: Instance, selected) -> float:
     return objective_relaxed(inst, _indicator(selected, inst.m))
 
 
-def objective_relaxed(inst: Instance, x: np.ndarray) -> float:
+def objective_relaxed(inst: Instance, x: np.ndarray) -> float | np.ndarray:
     """Binary-relaxation objective f(x) for x in [0, 1]^m.
 
-    On indicator vectors this coincides with :func:`objective` (same code
-    path, so the agreement is exact).
+    ``x`` may also be a ``(B, m)`` batch of points, which returns the ``B``
+    values as an array.  Each row is priced from scratch exactly as the
+    single point would be, so batched values equal per-point ones bit for
+    bit.  On indicator vectors this coincides with :func:`objective` (same
+    code path, so the agreement is exact).
     """
-    g = inst.model.value_rows(inst.Y * _relaxation_point(inst, x))
-    return _captured(inst.q, g)
+    f = _per_point(inst, x, _values)
+    return f if f.ndim else float(f)
 
 
 def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
-    """Gradient of the relaxed objective at x; entries are always >= 0."""
-    effective = inst.Y * _relaxation_point(inst, x)
-    g = inst.model.value_rows(effective)
-    dg = inst.model.grad_rows(effective)
-    weight = inst.q / (1.0 + g) / (1.0 + g)
-    return (inst.Y * dg * weight[:, None]).sum(axis=0)
+    """Gradient of the relaxed objective at x; entries are always >= 0.
+
+    A ``(B, m)`` batch of points returns one gradient per row, each equal
+    bit for bit to the single-point call.
+    """
+    return _per_point(inst, x, _gradients)
 
 
 def marginal_gain(inst: Instance, selected, j: int) -> float:
@@ -257,7 +299,7 @@ class IncrementalEvaluator:
         self._V = np.array([t ** inv for t, inv in zip(self._T, self._inv_mu)])
         self._G = self._V.sum(axis=0)
         self._w = self.q / (1.0 + self._G)
-        self._f = _captured(self.q, self._G)
+        self._f = float(_captured(self.q, self._G))
         self._dgs = None
 
     def current_objective(self) -> float:

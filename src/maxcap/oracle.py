@@ -6,6 +6,17 @@ functions, and the subproblem reference enumerates candidate selections
 directly.  These serve as ground truth for the solver at small scale and as
 randomized audits of the structural claims the solver relies on
 (monotonicity, submodularity, non-negative coefficients).
+
+An audit draws all its trials first, in the order a trial-by-trial loop
+would, and then prices them in batches: the subsets of the submodularity and
+monotonicity checks as indicator rows of one :func:`objective_relaxed` call,
+the gradient check's points in one :func:`objective_gradient` call and each
+trial's ``2m`` central-difference points in one more, and the contract
+check's vectors through the model's ``*_rows`` methods.  A batched value is
+bit for bit the single-point one, so batching changes no report, and a
+batch is evaluated in chunks of rows, which keeps memory bounded.
+``objective``, ``objective_relaxed`` and ``objective_gradient`` stay bound
+in this module, where ``bench/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -13,11 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .objective import Instance, Solution, objective, objective_gradient, objective_relaxed
+from .objective import Instance, Solution, objective, objective_gradient, objective_relaxed  # noqa: F401
 
 __all__ = [
     "PropertyReport",
@@ -31,6 +41,8 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**7
+# subsets priced per objective_relaxed call by brute_force_opt
+_SUBSETS_PER_CALL = 4096
 # absolute slack separating rounding noise from real structural violations
 VIOLATION_SLACK = 1e-10
 
@@ -61,6 +73,26 @@ class PropertyReport:
         )
 
 
+def _indicators(subsets, m: int) -> np.ndarray:
+    """One indicator row of length m per subset."""
+    rows = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    x = np.zeros((len(subsets), m))
+    x[rows, np.concatenate(subsets)] = 1.0
+    return x
+
+
+def _report(name: str, excess: np.ndarray, tol: float, seed: int) -> PropertyReport:
+    """Report over per-trial excesses: a trial violates when its excess is above tol.
+
+    A NaN excess means a formula broke down, so it counts as a violation and
+    makes the reported worst NaN rather than being skipped.
+    """
+    violations = int(np.count_nonzero(~(excess <= tol)))
+    # max(0.0, ...) keeps 0.0 over a -0.0 excess, as the report prints the sign
+    worst = math.nan if np.isnan(excess).any() else max(0.0, float(excess.max()))
+    return PropertyReport(name, excess.size, violations, worst, seed)
+
+
 def brute_force_opt(inst: Instance, C: int) -> Solution:
     """Exact optimum over all size-C subsets; ties go to the first in lex order."""
     if C < 1 or C > inst.m:
@@ -69,10 +101,12 @@ def brute_force_opt(inst: Instance, C: int) -> Solution:
     if count > ENUMERATION_GUARD:
         raise ValueError(f"refusing to enumerate {count} subsets (guard is {ENUMERATION_GUARD})")
     best_f, best_s = -np.inf, None
-    for subset in itertools.combinations(range(inst.m), C):
-        f = objective(inst, subset)
-        if f > best_f:
-            best_f, best_s = f, subset
+    subsets = itertools.combinations(range(inst.m), C)
+    while chunk := list(itertools.islice(subsets, _SUBSETS_PER_CALL)):
+        f = objective_relaxed(inst, _indicators(chunk, inst.m))
+        k = int(np.argmax(f))  # the first maximum, so the first in lex order
+        if f[k] > best_f:
+            best_f, best_s = float(f[k]), chunk[k]
     return Solution(best_s, best_f)
 
 
@@ -110,9 +144,12 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
     if count > ENUMERATION_GUARD:
         raise ValueError(f"refusing to enumerate {count} candidates (guard is {ENUMERATION_GUARD})")
 
-    # scores in exact rational arithmetic so mathematically tied candidates
-    # really tie regardless of float summation order
-    exact = [Fraction(float(v)) for v in d]
+    # exact integer scores, so mathematically tied candidates really tie
+    # regardless of float summation order: each float is num / den with den a
+    # power of two, and scaling every one to the largest den keeps sums exact
+    ratios = [float(v).as_integer_ratio() for v in d]
+    scale = max(den for _, den in ratios)
+    exact = [num * (scale // den) for num, den in ratios]
     best_score, best_key, best_set = None, None, None
     for t in range(1, half + 1):
         for removed in itertools.combinations(inside, t):
@@ -142,20 +179,17 @@ def check_submodularity(inst: Instance, trials: int, seed: int = 0) -> PropertyR
         raise ValueError("trials must be >= 1")
     rng = _rng(seed)
     m = inst.m
-    violations, worst = 0, 0.0
+    subsets = []
     for _ in range(trials):
         size_b = int(rng.integers(1, m)) if m > 1 else 0
         b = np.sort(rng.choice(m, size=size_b, replace=False))
         a = b[rng.random(size_b) < 0.5]
         pool = np.setdiff1d(np.arange(m), b, assume_unique=True)
         j = int(rng.choice(pool))
-        gain_a = objective(inst, np.append(a, j)) - objective(inst, a)
-        gain_b = objective(inst, np.append(b, j)) - objective(inst, b)
-        gap = gain_b - gain_a
-        if gap > VIOLATION_SLACK:
-            violations += 1
-        worst = max(worst, gap)
-    return PropertyReport("submodularity", trials, violations, max(0.0, worst), seed)
+        subsets += [np.append(a, j), a, np.append(b, j), b]
+    f = objective_relaxed(inst, _indicators(subsets, m)).reshape(trials, 4)
+    gain_a, gain_b = f[:, 0] - f[:, 1], f[:, 2] - f[:, 3]
+    return _report("submodularity", gain_b - gain_a, VIOLATION_SLACK, seed)
 
 
 def check_monotonicity(inst: Instance, trials: int, seed: int = 0) -> PropertyReport:
@@ -168,17 +202,15 @@ def check_monotonicity(inst: Instance, trials: int, seed: int = 0) -> PropertyRe
         raise ValueError("trials must be >= 1")
     rng = _rng(seed)
     m = inst.m
-    violations, worst = 0, 0.0
+    subsets = []
     for _ in range(trials):
         size_s = int(rng.integers(0, m))
         s = np.sort(rng.choice(m, size=size_s, replace=False))
         pool = np.setdiff1d(np.arange(m), s, assume_unique=True)
         j = int(rng.choice(pool))
-        gain = objective(inst, np.append(s, j)) - objective(inst, s)
-        if gain < -VIOLATION_SLACK:
-            violations += 1
-        worst = max(worst, -gain)
-    return PropertyReport("monotonicity", trials, violations, max(0.0, worst), seed)
+        subsets += [np.append(s, j), s]
+    f = objective_relaxed(inst, _indicators(subsets, m)).reshape(trials, 2)
+    return _report("monotonicity", -(f[:, 0] - f[:, 1]), VIOLATION_SLACK, seed)
 
 
 def check_gradient(inst: Instance, trials: int, step: float = 1e-5, seed: int = 0) -> PropertyReport:
@@ -193,24 +225,15 @@ def check_gradient(inst: Instance, trials: int, step: float = 1e-5, seed: int = 
         raise ValueError(f"step must lie in (0, 0.1], got {step}")
     rng = _rng(seed)
     m = inst.m
-    tol = 1e-5
-    violations, worst = 0, 0.0
-    for _ in range(trials):
-        x = rng.uniform(0.1, 0.9, m)
-        grad = objective_gradient(inst, x)
-        fd = np.empty(m)
-        for j in range(m):
-            hi = x.copy()
-            lo = x.copy()
-            hi[j] += step
-            lo[j] -= step
-            fd[j] = (objective_relaxed(inst, hi) - objective_relaxed(inst, lo)) / (2.0 * step)
-        rel = np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))
-        err = float(rel.max())
-        if err > tol:
-            violations += 1
-        worst = max(worst, err)
-    return PropertyReport("gradient", trials, violations, worst, seed)
+    points = np.array([rng.uniform(0.1, 0.9, m) for _ in range(trials)])
+    grads = objective_gradient(inst, points)
+    steps = step * np.eye(m)  # row j moves entry j alone, by exactly step
+    errs = np.empty(trials)
+    for t, (x, grad) in enumerate(zip(points, grads)):
+        f = objective_relaxed(inst, np.concatenate([x + steps, x - steps]))
+        fd = (f[:m] - f[m:]) / (2.0 * step)
+        errs[t] = (np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))).max()
+    return _report("gradient", errs, 1e-5, seed)
 
 
 def check_subproblem(trials: int, seed: int = 0) -> PropertyReport:
@@ -255,22 +278,20 @@ def check_cpgf_contracts(inst: Instance, trials: int, seed: int = 0) -> Property
         raise ValueError("trials must be >= 1")
     rng = _rng(seed)
     model, m = inst.model, inst.m
-    violations, worst = 0, 0.0
-    for _ in range(trials):
-        y = rng.uniform(0.0, 5.0, m)
-        y[rng.random(m) < 0.2] = 0.0  # exercise closed locations too
-        lam = float(rng.uniform(0.1, 10.0))
-        g = model.value(y)
-        dg = model.grad(y)
-        p = model.probabilities(y)
-        errs = [
-            abs(model.value(lam * y) - lam * g) / max(1.0, lam * g) / 1e-9,
-            abs(g - float((y * dg).sum())) / max(1.0, g) / 1e-9,
-            abs(p.sum() - 1.0) / 1e-12,
-            (0.0 if g >= 0.0 and np.all(dg >= 0.0) and np.all(p >= 0.0) and p[-1] > 0.0 else 2.0),
-        ]
-        err = max(errs)
-        if err > 1.0:
-            violations += 1
-        worst = max(worst, err)
-    return PropertyReport("cpgf-contracts", trials, violations, worst, seed)
+    y, lam = np.empty((trials, m)), np.empty(trials)
+    for t in range(trials):
+        y[t] = rng.uniform(0.0, 5.0, m)
+        y[t, rng.random(m) < 0.2] = 0.0  # exercise closed locations too
+        lam[t] = rng.uniform(0.1, 10.0)
+    g = model.value_rows(y)
+    dg = model.grad_rows(y)
+    p = model.probabilities_rows(y)
+    scaled = lam * g
+    signs_ok = (g >= 0.0) & np.all(dg >= 0.0, axis=1) & np.all(p >= 0.0, axis=1) & (p[:, -1] > 0.0)
+    errs = np.column_stack([
+        np.abs(model.value_rows(lam[:, None] * y) - scaled) / np.maximum(1.0, scaled) / 1e-9,
+        np.abs(g - (y * dg).sum(axis=1)) / np.maximum(1.0, g) / 1e-9,
+        np.abs(p.sum(axis=1) - 1.0) / 1e-12,
+        np.where(signs_ok, 0.0, 2.0),
+    ])
+    return _report("cpgf-contracts", errs.max(axis=1), 1.0, seed)

@@ -76,6 +76,14 @@ class TestProbabilities:
         inside = SQRT2 / (2.0 * (1.0 + SQRT2))
         assert p == pytest.approx([inside, inside, outside], abs=1e-12)
 
+    @pytest.mark.parametrize("model", [MultinomialLogit(), NestedLogit([0, 1, 0, 1, 2], [1.0, 1.3, 2.0])])
+    def test_rows_equal_single_vectors(self, model):
+        y = np.random.default_rng(5).uniform(0.0, 3.0, (9, 5))
+        y[::4, :2] = 0.0  # an empty nest
+        rows = model.probabilities_rows(y)
+        assert rows.shape == (9, 6)
+        assert rows.tobytes() == np.array([model.probabilities(v) for v in y]).tobytes()
+
 
 class TestValidation:
     def test_dimension_mismatch(self):

@@ -167,6 +167,16 @@ class TestCheck:
         assert code == 0
         assert str(instance_file) in stdout
 
+    def test_reports_match_golden(self, capsys, tmp_path):
+        # stdout and exit codes recorded with subset-by-subset audits; the
+        # batched audits must reproduce them byte for byte
+        golden = json.loads((Path(__file__).parent / "golden" / "check.json").read_text())
+        path = str(tmp_path / "nested.mcp")
+        assert run(capsys, *golden["generate"].replace("{instance}", path).split())[0] == 0
+        for case in golden["runs"]:
+            code, stdout, _ = run(capsys, *case["argv"].replace("{instance}", path).split())
+            assert (code, stdout.replace(path, "{instance}")) == (case["code"], case["stdout"])
+
     def test_zero_trials_is_usage_error(self, capsys):
         assert run(capsys, "check", "--suite", "all", "--trials", "0")[0] == 1
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,89 @@ class TestGradient:
                 lo[j] -= step
                 fd = (objective_relaxed(inst, hi) - objective_relaxed(inst, lo)) / (2 * step)
                 assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(grad[j]))
+
+
+# the module itself: the package binds the name maxcap.objective to the function
+OBJECTIVE_MODULE = importlib.import_module("maxcap.objective")
+
+
+def _point_relaxed(inst, x):
+    """f(x) at one point, straight from the definition."""
+    g = inst.model.value_rows(inst.Y * x)
+    return float((inst.q * g / (1.0 + g)).sum())
+
+
+def _point_gradient(inst, x):
+    """The relaxation gradient at one point, straight from the definition."""
+    effective = inst.Y * x
+    g = inst.model.value_rows(effective)
+    dg = inst.model.grad_rows(effective)
+    weight = inst.q / (1.0 + g) / (1.0 + g)
+    return (inst.Y * dg * weight[:, None]).sum(axis=0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestBatched:
+    """A (B, m) batch prices every row bit for bit as the single point would be.
+
+    The zone counts straddle the blocks of numpy's pairwise summation (8 and
+    128 elements), where a different reduction order would show.
+    """
+
+    ZONES = (1, 7, 8, 9, 127, 128, 129, 1000)
+
+    @staticmethod
+    def _points(rng, m, rows=12):
+        x = rng.uniform(0.0, 1.0, (rows, m))
+        x[::3] = rng.random((len(x[::3]), m)) < 0.5  # indicator rows too
+        x[1, 0], x[2, -1] = 0.0, 1.0  # the box's faces
+        return x
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("zones", ZONES)
+    def test_rows_equal_single_points(self, rng, monkeypatch, zones, nested, small_chunks):
+        inst = dense_random(rng, zones=zones, m=9, nested=nested)
+        x = self._points(rng, inst.m)
+        if small_chunks:  # chunks of 5 rows: two full ones and a partial one
+            monkeypatch.setattr(OBJECTIVE_MODULE, "_CHUNK_CELLS", 5 * inst.Y.size)
+        values, grads = objective_relaxed(inst, x), objective_gradient(inst, x)
+        assert values.shape == (len(x),) and grads.shape == x.shape
+        for row, value, grad in zip(x, values, grads):
+            assert _bits(value) == _bits(objective_relaxed(inst, row)) == _bits(_point_relaxed(inst, row))
+            assert _bits(grad) == _bits(objective_gradient(inst, row)) == _bits(_point_gradient(inst, row))
+
+    def test_batch_longer_than_one_chunk(self, rng):
+        inst = dense_random(rng, zones=1000, m=9, nested=True)
+        x = self._points(rng, inst.m, rows=2 * OBJECTIVE_MODULE._CHUNK_CELLS // inst.Y.size + 3)
+        assert _bits(objective_relaxed(inst, x)) == _bits([_point_relaxed(inst, row) for row in x])
+        assert _bits(objective_gradient(inst, x)) == _bits([_point_gradient(inst, row) for row in x])
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_batch_of_one_is_the_single_point(self, rng, nested):
+        inst = dense_random(rng, zones=129, m=9, nested=nested)
+        x = rng.uniform(0.0, 1.0, inst.m)
+        value = objective_relaxed(inst, x)
+        assert type(value) is float
+        assert _bits(objective_relaxed(inst, x[None])) == _bits([value])
+        assert _bits(objective_gradient(inst, x[None])) == _bits([objective_gradient(inst, x)])
+        assert objective_relaxed(inst, np.empty((0, inst.m))).shape == (0,)
+
+    def test_shape_and_range_errors(self, rng):
+        inst = dense_random(rng, zones=7, m=9)
+        for fn in (objective_relaxed, objective_gradient):
+            with pytest.raises(ValueError, match=r"^x must have shape \(9,\), got \(8,\)$"):
+                fn(inst, np.zeros(8))
+            with pytest.raises(ValueError, match=r"^x must have shape \(B, 9\), got \(2, 8\)$"):
+                fn(inst, np.zeros((2, 8)))
+            with pytest.raises(ValueError, match=r"^x must have shape \(B, 9\), got \(1, 2, 9\)$"):
+                fn(inst, np.zeros((1, 2, 9)))
+            for bad in (np.full(9, 1.5), np.full((3, 9), 0.5) - np.eye(3, 9)):
+                with pytest.raises(ValueError, match=r"^relaxation point entries must lie in \[0, 1\]$"):
+                    fn(inst, bad)
 
 
 class TestMarginalGain:
