@@ -21,8 +21,6 @@ from .objective import (
     IncrementalEvaluator,
     Instance,
     Solution,
-    marginal_gain,
-    mask,
     objective,
     objective_gradient,
     objective_relaxed,
@@ -65,8 +63,6 @@ __all__ = [
     "IncrementalEvaluator",
     "Instance",
     "Solution",
-    "marginal_gain",
-    "mask",
     "objective",
     "objective_gradient",
     "objective_relaxed",

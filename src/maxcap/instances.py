@@ -18,6 +18,7 @@ rather than the library's rejection sampler.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -193,9 +194,15 @@ def _fmt(x: float) -> str:
 
 
 def write_instance(inst: Instance, path) -> None:
-    """Serialize to the versioned text format; floats keep 17 significant digits."""
+    """Serialize to format version 2: decimal header floats, a bit-exact hex Y block.
+
+    ``mu`` and ``q`` keep 17 significant digits, which round-trip exactly.
+    Each Y value is its big-endian IEEE-754 binary64 bit pattern in 16
+    lowercase hex digits, the text of ``struct.pack(">d", x).hex()``, so Y
+    round-trips bit for bit with no decimal conversion either way.
+    """
     model = inst.model
-    lines = ["MCP 1"]
+    lines = ["MCP 2"]
     if isinstance(model, NestedLogit):
         lines.append(f"model nested {model.n_nests}")
         lines.append("mu " + " ".join(_fmt(v) for v in model.mu))
@@ -208,33 +215,40 @@ def write_instance(inst: Instance, path) -> None:
     lines.append(f"zones {inst.n_zones}")
     lines.append("q " + " ".join(_fmt(v) for v in inst.q))
     lines.append("Y")
-    # "%.17g" gives the same text as _fmt, formatted a whole row at a time;
-    # rows are streamed, so no copy of the matrix exists as floats or text
-    row_format = " ".join(["%.17g"] * inst.m) + "\n"
+    # rows are converted one at a time, so no big-endian copy of the matrix exists
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in inst.Y)
+        fh.writelines(row.astype(">f8").tobytes().hex(" ", 8) + "\n" for row in inst.Y)
 
 
 class _Reader:
-    """Token cursor over an .mcp file's lines; skips comments, reports 1-based line numbers."""
+    """Line cursor over an .mcp file's text; skips comments, reports 1-based line numbers.
+
+    Lines are cut from the text one at a time as they are read, so a Y block
+    decoded whole is never split into lines.
+    """
 
     def __init__(self, path):
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
-        self.rows = [
-            (n, line)
-            for n, line in enumerate(raw, start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        self.pos = 0
+            self.text = fh.read()
+        self.offset = 0  # where the next line starts
+        self.lineno = 0  # the number of the last line read
         self.path = str(path)
 
+    def next_line(self, section: str):
+        """The next line that is neither blank nor a comment, and its number."""
+        text = self.text
+        while self.offset < len(text):
+            end = text.find("\n", self.offset)
+            end = len(text) if end < 0 else end
+            line, self.offset = text[self.offset:end], end + 1
+            self.lineno += 1
+            if line.strip() and not line.lstrip().startswith("#"):
+                return self.lineno, line
+        self.fail(self.lineno + 1, f"unexpected end of file, missing section '{section}'")
+
     def next(self, section: str):
-        if self.pos >= len(self.rows):
-            raise FormatError(f"{self.path}: unexpected end of file, missing section '{section}'")
-        n, line = self.rows[self.pos]
-        self.pos += 1
+        n, line = self.next_line(section)
         return n, line.split()
 
     def fail(self, lineno: int, message: str):
@@ -259,34 +273,86 @@ def _parse_count(reader, lineno, token, what):
 
 
 def _parse_matrix(reader, n_zones, m):
-    """The ``n_zones`` Y rows converted in one call; a rejected block is walked for its error."""
-    lines = [line for _, line in reader.rows[reader.pos:reader.pos + n_zones]]
-    if len(lines) == n_zones:  # a short block is left to the walk, which names the missing row
-        try:
-            Y = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
-        except ValueError:
-            Y = None
-        if Y is not None and Y.shape == (n_zones, m):
-            reader.pos += n_zones
-            return Y
+    """Version 1: decimal Y rows converted in one call, and their line numbers.
+
+    A rejected block is walked for its error.
+    """
+    rows = [reader.next_line(f"Y row {i + 1}") for i in range(n_zones)]
+    try:
+        Y = np.loadtxt([line for _, line in rows], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        Y = None
+    if Y is not None and Y.shape == (n_zones, m):
+        return Y, [n for n, _ in rows]
     # only explains a rejected block: the first bad row raises with its line number
-    for i in range(n_zones):
-        n, tokens = reader.next(f"Y row {i + 1}")
-        _parse_floats(reader, n, tokens, m, f"Y row {i + 1} of the Y block")
+    for i, (n, line) in enumerate(rows):
+        _parse_floats(reader, n, line.split(), m, f"Y row {i + 1} of the Y block")
     raise FormatError(
         f"{reader.path}: Y block is not {n_zones} rows of {m} plain decimal numbers"
     )
 
 
+_HEX16 = re.compile(r"[0-9a-fA-F]{16}")
+
+
+def _hex_values(raw: bytes, n_zones: int, m: int) -> np.ndarray:
+    return np.frombuffer(raw, ">f8").astype(float).reshape(n_zones, m)
+
+
+def _parse_hex_matrix(reader, n_zones, m):
+    """Version 2: hex Y rows decoded in one call, and their line numbers.
+
+    The writer's block is ``n_zones * m`` fields of 17 characters: 16 hex
+    digits, then a space, or a newline after a row's last value.  The text
+    at the cursor is taken whole when every 17th character is that
+    separator and ``bytes.fromhex`` turns it into ``8 * n_zones * m``
+    bytes; ``fromhex`` skips whitespace, so a field holding any would come
+    out short.  Any other block (comments between rows, stray spaces, bad
+    digits) is walked row by row: the first bad row raises with its line
+    number, and valid rows are decoded together.
+    """
+    cells = n_zones * m
+    block = reader.text[reader.offset:reader.offset + 17 * cells]
+    try:
+        raw = bytes.fromhex(block) if block[16::17] == (" " * (m - 1) + "\n") * n_zones else b""
+    except ValueError:
+        raw = b""
+    del block  # the text copy goes before the arrays are made
+    if len(raw) == 8 * cells:
+        first = reader.lineno + 1
+        reader.offset += 17 * cells
+        reader.lineno += n_zones
+        return _hex_values(raw, n_zones, m), range(first, first + n_zones)
+    rows = []
+    for i in range(n_zones):
+        what = f"Y row {i + 1}"
+        n, line = reader.next_line(what)
+        tokens = line.split()
+        if len(tokens) != m:
+            reader.fail(n, f"expected {m} values for {what} of the Y block, found {len(tokens)}")
+        bad = next((t for t in tokens if not _HEX16.fullmatch(t)), None)
+        if bad is not None:
+            reader.fail(n, f"value '{bad}' in {what} is not 16 hex digits")
+        if line != " ".join(tokens):
+            reader.fail(n, f"values in {what} must be separated by single spaces")
+        rows.append((n, line))
+    raw = bytes.fromhex(" ".join(line for _, line in rows))
+    return _hex_values(raw, n_zones, m), [n for n, _ in rows]
+
+
+_Y_DECODERS = {"1": _parse_matrix, "2": _parse_hex_matrix}
+
+
 def read_instance(path) -> Instance:
-    """Parse an ``.mcp`` file; malformed input raises :class:`FormatError`."""
+    """Parse an ``.mcp`` file of version 1 or 2; malformed input raises :class:`FormatError`."""
     reader = _Reader(path)
 
     n, tokens = reader.next("header")
     if len(tokens) != 2 or tokens[0] != "MCP":
-        reader.fail(n, "expected header 'MCP 1'")
-    if tokens[1] != "1":
+        reader.fail(n, "expected header 'MCP <version>'")
+    if tokens[1] not in _Y_DECODERS:
         reader.fail(n, f"unsupported format version '{tokens[1]}'")
+    parse_y = _Y_DECODERS[tokens[1]]
 
     n, tokens = reader.next("model")
     if not tokens or tokens[0] != "model":
@@ -328,7 +394,7 @@ def read_instance(path) -> Instance:
     n, tokens = reader.next("Y")
     if tokens != ["Y"]:
         reader.fail(n, "expected section 'Y'")
-    Y = _parse_matrix(reader, n_zones, m)
+    Y, row_lines = parse_y(reader, n_zones, m)
 
     if nest is not None and nest.size != m:
         raise FormatError(f"{reader.path}: nest assignment has {nest.size} entries, expected {m}")
@@ -336,4 +402,8 @@ def read_instance(path) -> Instance:
         model = NestedLogit(nest, mu) if nest is not None else MultinomialLogit()
         return Instance.from_arrays(q, Y, model)
     except ValueError as exc:
+        bad = np.flatnonzero(~np.isfinite(Y).all(axis=1) | (Y < 0.0).any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            reader.fail(row_lines[i], f"Y row {i + 1}: attraction entries must be finite and non-negative")
         raise FormatError(f"{reader.path}: {exc}") from exc

@@ -39,11 +39,9 @@ from .choice_models import ChoiceModel, MultinomialLogit, NestedLogit
 __all__ = [
     "Instance",
     "Solution",
-    "mask",
     "objective",
     "objective_relaxed",
     "objective_gradient",
-    "marginal_gain",
     "IncrementalEvaluator",
 ]
 
@@ -133,15 +131,6 @@ def _check_indices(selected, m: int) -> np.ndarray:
     return idx
 
 
-def mask(y: np.ndarray, selected) -> np.ndarray:
-    """Zero out every entry of ``y`` whose index is not in ``selected``."""
-    y = np.asarray(y, dtype=float)
-    idx = _check_indices(selected, y.size)
-    out = np.zeros_like(y)
-    out[idx] = y[idx]
-    return out
-
-
 def _indicator(selected, m: int) -> np.ndarray:
     x = np.zeros(m)
     x[_check_indices(selected, m)] = 1.0
@@ -224,17 +213,6 @@ def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
     bit for bit to the single-point call.
     """
     return _per_point(inst, x, _gradients)
-
-
-def marginal_gain(inst: Instance, selected, j: int) -> float:
-    """f(S + j) - f(S); strictly positive whenever location j attracts anyone."""
-    idx = _check_indices(selected, inst.m)
-    j = int(j)
-    if j < 0 or j >= inst.m:
-        raise ValueError(f"location index {j} out of range [0, {inst.m})")
-    if j in set(idx.tolist()):
-        raise ValueError(f"location {j} already selected")
-    return objective(inst, list(idx) + [j]) - objective(inst, idx)
 
 
 class IncrementalEvaluator:

@@ -1,7 +1,11 @@
+import re
+import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxcap import (
     FormatError,
@@ -235,104 +239,175 @@ class TestFileFormat:
     @pytest.mark.parametrize("row3", ["0.5 0.25", "0.5 0.25 1 2"])
     def test_later_row_with_wrong_width(self, tmp_path, row3):
         path = self.write_y(tmp_path, ["1 2 3", "4 5 6", row3, "7 8 9"])
-        with pytest.raises(FormatError, match=r":9: .*Y row 3"):
+        found = len(row3.split())
+        with pytest.raises(FormatError,
+                           match=rf"y\.mcp:9: expected 3 values for Y row 3 of the Y block, found {found}$"):
             read_instance(path)
 
     def test_non_numeric_token_on_last_row(self, tmp_path):
         path = self.write_y(tmp_path, ["1 2 3", "4 5 6", "7 oops 9"])
-        with pytest.raises(FormatError, match=r":9: non-numeric value in Y row 3"):
+        with pytest.raises(FormatError, match=r"y\.mcp:9: non-numeric value in Y row 3 of the Y block$"):
             read_instance(path)
 
     def test_digit_separators_rejected_in_y(self, tmp_path):
         path = self.write_y(tmp_path, ["1 2 3", "4 1_0 6"])
-        with pytest.raises(FormatError, match="Y block"):
+        with pytest.raises(FormatError, match=r"y\.mcp:8: non-numeric value in Y row 2 of the Y block$"):
             read_instance(path)
 
-    @pytest.mark.parametrize("header, line, what", [
-        ("model nested 2\nmu 1.1 1.2\nnest 1 2\n", None, None),
-        ("model mnl\n", 5, "q"),
-        ("model nested 0_2\nmu 1.1 1.2\nnest 1 2\n", 2, "nest count"),
-        ("model nested 2\nmu 1_1 1.2\nnest 1 2\n", 3, "mu"),
-        ("model nested 2\nmu 1.1 1.2\nnest 1 0_2\n", 4, "nest index"),
+    @pytest.mark.parametrize("header, q, message", [
+        ("model nested 2\nmu 1.1 1.2\nnest 1 2\n", "10", None),
+        ("model mnl\n", "1_0", ":5: non-numeric value in q"),
+        ("model nested 0_2\nmu 1.1 1.2\nnest 1 2\n", "10", ":2: invalid nest count '0_2'"),
+        ("model nested 2\nmu 1_1 1.2\nnest 1 2\n", "10", ":3: non-numeric value in mu"),
+        ("model nested 2\nmu 1.1 1.2\nnest 1 0_2\n", "10", ":4: invalid nest index '0_2'"),
     ], ids=["valid", "q", "nest-count", "mu", "nest-index"])
-    def test_digit_separators_rejected_in_header(self, tmp_path, header, line, what):
+    def test_digit_separators_rejected_in_header(self, tmp_path, header, q, message):
         # the q, mu and nest lines follow the Y block's grammar; the first case is the valid file
-        q = "1_0" if what == "q" else "10"
         path = tmp_path / "h.mcp"
         path.write_text(f"MCP 1\n{header}m 2\nzones 1\nq {q}\nY\n1 1\n", encoding="utf-8")
-        if line is None:
+        if message is None:
             assert read_instance(path).q.tolist() == [10.0]
             return
-        with pytest.raises(FormatError, match=rf":{line}: .*{what}"):
+        with pytest.raises(FormatError, match=r"h\.mcp" + re.escape(message) + "$"):
             read_instance(path)
 
     @pytest.mark.parametrize("m, zones", [("²", "1"), ("1", "²")])
     def test_superscript_count_rejected_with_line(self, tmp_path, m, zones):
         path = tmp_path / "s.mcp"
         path.write_text(f"MCP 1\nmodel mnl\nm {m}\nzones {zones}\nq 1\nY\n1\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r":[34]: invalid"):
+        message = ":3: invalid location count '²'" if m == "²" else ":4: invalid zone count '²'"
+        with pytest.raises(FormatError, match=r"s\.mcp" + message + "$"):
             read_instance(path)
 
     def test_zero_zones_rejected_without_numpy_warning(self, tmp_path):
         path = self.write_y(tmp_path, [])
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            with pytest.raises(FormatError, match="zone count"):
+            with pytest.raises(FormatError, match=r"y\.mcp:4: invalid zone count '0'$"):
                 read_instance(path)
         assert not record
 
     def test_y_rows_are_not_parsed_one_by_one(self, tmp_path, monkeypatch):
-        # the per-row helper may run for the q line only, not once per Y row
-        path = tmp_path / "big.mcp"
-        write_instance(generate_euclidean(GeneratorParams(zones=200, locations=50, seed=2),
-                                          MultinomialLogit()), path)
-        calls = []
-        parse_floats = instances._parse_floats
+        # neither decoder walks a valid block: the per-row helper runs for the q line
+        # only, and version 2 does not even cut the block into lines
+        inst = generate_euclidean(GeneratorParams(zones=200, locations=50, seed=2),
+                                  MultinomialLogit())
+        v1, v2 = tmp_path / "v1.mcp", tmp_path / "v2.mcp"
+        v1.write_text(_per_value_text(inst), encoding="utf-8")
+        write_instance(inst, v2)
+        floats, sections = [], []
+        parse_floats, next_line = instances._parse_floats, instances._Reader.next_line
 
         def counted(*args):
-            calls.append(args[-1])
+            floats.append(args[-1])
             return parse_floats(*args)
 
+        def counted_line(reader, section):
+            sections.append(section)
+            return next_line(reader, section)
+
         monkeypatch.setattr(instances, "_parse_floats", counted)
-        assert read_instance(path).Y.shape == (200, 50)
-        assert calls == ["q"]
+        monkeypatch.setattr(instances._Reader, "next_line", counted_line)
+        for path in (v1, v2):
+            floats.clear()
+            sections.clear()
+            assert read_instance(path).Y.shape == (200, 50)
+            assert floats == ["q"]
+        assert sections == ["header", "model", "m", "zones", "q", "Y"]
 
     @pytest.mark.parametrize("kind", ["mnl", "nested", "extremes"])
     def test_write_matches_per_value_format(self, tmp_path, kind):
-        p = GeneratorParams(zones=9, locations=5, seed=5)
-        if kind == "extremes":
-            inst = Instance.from_arrays(np.ones(2), [[5e-324, 1e-300, 0.1, 1 / 3, 1e300],
-                                                     [0.0, -0.0, 2.5, 1e-5, 123456789.0]],
-                                        MultinomialLogit())
-        else:
-            model = assign_nests(5, 2, (1.1, 1 / 0.7)) if kind == "nested" else MultinomialLogit()
-            inst = generate_euclidean(p, model)
+        inst = _format_case(kind)
         path = tmp_path / "w.mcp"
         write_instance(inst, path)
-        assert path.read_bytes() == _per_value_text(inst).encode("utf-8")
+        assert path.read_bytes() == _per_value_hex_text(inst).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["mnl", "nested", "extremes"])
+    def test_version_1_text_reads_back_bit_identically(self, tmp_path, kind):
+        inst = _format_case(kind)
+        v1, v2 = tmp_path / "v1.mcp", tmp_path / "v2.mcp"
+        v1.write_text(_per_value_text(inst), encoding="utf-8")
+        write_instance(inst, v2)
+        for back in (read_instance(v1), read_instance(v2)):
+            assert back.Y.tobytes() == inst.Y.tobytes()
+            assert back.q.tobytes() == inst.q.tobytes()
+
+    @staticmethod
+    def write_hex(tmp_path, rows, zones=None):
+        # version 2 with m = 2; Y row k sits on line 6 + k
+        path = tmp_path / "x.mcp"
+        zones = len(rows) if zones is None else zones
+        q = " ".join(["1"] * zones)
+        path.write_text(f"MCP 2\nmodel mnl\nm 2\nzones {zones}\nq {q}\nY\n"
+                        + "".join(row + "\n" for row in rows), encoding="utf-8")
+        return path
+
+    def test_comment_between_hex_rows_is_skipped(self, tmp_path):
+        path = self.write_hex(tmp_path, ["3fe0000000000000 3fd0000000000000", "# between rows", "",
+                                         "3fc0000000000000 3ff0000000000000"], zones=2)
+        assert read_instance(path).Y.tolist() == [[0.5, 0.25], [0.125, 1.0]]
+
+    def test_upper_case_hex_digits_read(self, tmp_path):
+        path = self.write_hex(tmp_path, ["3FB999999999999A 3fb999999999999a"])
+        assert read_instance(path).Y.tolist() == [[0.1, 0.1]]
+
+    @pytest.mark.parametrize("row2, message", [
+        ("3ff0000000000000", "expected 2 values for Y row 2 of the Y block, found 1"),
+        ("3ff0000000000000 4000000000000000 0000000000000000",
+         "expected 2 values for Y row 2 of the Y block, found 3"),
+        ("3ff0000000000000 400000000000000", "value '400000000000000' in Y row 2 is not 16 hex digits"),
+        ("3ff0000000000000 40000000000000000",
+         "value '40000000000000000' in Y row 2 is not 16 hex digits"),
+        ("3ff0000000000000 400000000000000g", "value '400000000000000g' in Y row 2 is not 16 hex digits"),
+        # the separator moved by one byte: the same 16 bytes decode, so only the separator check sees it
+        ("3ff000000000000040 00000000000000",
+         "value '3ff000000000000040' in Y row 2 is not 16 hex digits"),
+        # fromhex skips whitespace inside a value: only the decoded length sees it
+        ("3ff0000000000000 4000000000 00 00", "expected 2 values for Y row 2 of the Y block, found 4"),
+        ("3ff0000000000000\t4000000000000000", "values in Y row 2 must be separated by single spaces"),
+        ("3ff0000000000000  4000000000000000", "values in Y row 2 must be separated by single spaces"),
+        (" 3ff0000000000000 4000000000000000", "values in Y row 2 must be separated by single spaces"),
+        ("3ff0000000000000 7ff0000000000000",
+         "Y row 2: attraction entries must be finite and non-negative"),
+        ("3ff0000000000000 7ff8000000000000",
+         "Y row 2: attraction entries must be finite and non-negative"),
+        ("bff0000000000000 4000000000000000",
+         "Y row 2: attraction entries must be finite and non-negative"),
+    ], ids=["one-value", "three-values", "short-value", "long-value", "non-hex", "misplaced-separator",
+            "blank-in-value", "tab", "double-space", "indent", "inf", "nan", "sign-bit"])
+    def test_bad_hex_row_names_its_line(self, tmp_path, row2, message):
+        rows = ["0000000000000000 3ff0000000000000", row2, "3ff0000000000000 3ff0000000000000"]
+        path = self.write_hex(tmp_path, rows)
+        with pytest.raises(FormatError, match=r"x\.mcp:8: " + re.escape(message) + "$"):
+            read_instance(path)
+
+    def test_short_hex_block_names_the_missing_row(self, tmp_path):
+        path = self.write_hex(tmp_path, ["3ff0000000000000 3ff0000000000000"], zones=2)
+        with pytest.raises(FormatError, match=r"x\.mcp:8: unexpected end of file, missing section 'Y row 2'$"):
+            read_instance(path)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
         path = tmp_path / "t.mcp"
         path.write_text("MCP 1\nmodel mnl\nm 2\nzones 2\nq 1 1\nY\n0.5 0.25\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="Y row 2"):
+        with pytest.raises(FormatError, match=r"t\.mcp:8: unexpected end of file, missing section 'Y row 2'$"):
             read_instance(path)
 
     def test_unknown_model_tag(self, tmp_path):
         path = tmp_path / "u.mcp"
         path.write_text("MCP 1\nmodel probit\nm 1\nzones 1\nq 1\nY\n1\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="unsupported model"):
+        with pytest.raises(FormatError, match=r"u\.mcp:2: unsupported model 'probit'$"):
             read_instance(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.mcp"
-        path.write_text("MCP 2\nmodel mnl\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="version"):
+        path.write_text("MCP 9\nmodel mnl\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"v\.mcp:1: unsupported format version '9'$"):
             read_instance(path)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.mcp"
         path.write_text("MCP 1\nmodel mnl\nm 2\nzones 1\nq 1\nY\n0.5 oops\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r":7:"):
+        with pytest.raises(FormatError, match=r"bad\.mcp:7: non-numeric value in Y row 1 of the Y block$"):
             read_instance(path)
 
     @pytest.mark.parametrize("q, row, reason", [
@@ -341,7 +416,9 @@ class TestFileFormat:
     def test_bad_values_rejected(self, tmp_path, q, row, reason):
         path = tmp_path / "b.mcp"
         path.write_text(f"MCP 1\nmodel mnl\nm 2\nzones 1\nq {q}\nY\n{row}\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=reason):
+        message = ("b.mcp: zone weights must be positive" if reason == "positive" else
+                   "b.mcp:7: Y row 1: attraction entries must be finite and non-negative")
+        with pytest.raises(FormatError, match=re.escape(message) + "$"):
             read_instance(path)
 
     def test_nest_length_mismatch(self, tmp_path):
@@ -350,12 +427,47 @@ class TestFileFormat:
             "MCP 1\nmodel nested 2\nmu 1.1 1.2\nnest 1 2 1\nm 2\nzones 1\nq 1\nY\n1 1\n",
             encoding="utf-8",
         )
-        with pytest.raises(FormatError, match="nest"):
+        with pytest.raises(FormatError, match=r"n\.mcp: nest assignment has 3 entries, expected 2$"):
             read_instance(path)
 
 
+# every finite non-negative bit pattern up to about 5e303, where q * G cannot
+# overflow for m <= 4, plus negative zero
+_BIT_PATTERNS = st.one_of(st.integers(0, 0x7F00_0000_0000_0000), st.just(0x8000_0000_0000_0000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_hex_round_trip_is_bit_exact(zones, m, data):
+    bits = data.draw(st.lists(_BIT_PATTERNS, min_size=zones * m, max_size=zones * m))
+    y = np.array(bits, dtype=np.uint64).view(float).reshape(zones, m)
+    inst = Instance.from_arrays(np.ones(zones), y, MultinomialLogit())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/r.mcp"
+        write_instance(inst, path)
+        assert read_instance(path).Y.view(np.uint64).ravel().tolist() == bits
+
+
+def _format_case(kind):
+    """The writer's reference instances: planar mnl, planar nested, and hand-picked extremes."""
+    if kind == "extremes":
+        return Instance.from_arrays(np.ones(2), [[5e-324, 1e-300, 0.1, 1 / 3, 1e300],
+                                                 [0.0, -0.0, 2.5, 1e-5, 123456789.0]],
+                                    MultinomialLogit())
+    model = assign_nests(5, 2, (1.1, 1 / 0.7)) if kind == "nested" else MultinomialLogit()
+    return generate_euclidean(GeneratorParams(zones=9, locations=5, seed=5), model)
+
+
+def _per_value_hex_text(inst):
+    """Reference version 2 text: every Y value packed on its own by ``struct.pack(">d", v)``."""
+    lines = _per_value_text(inst).split("\n")
+    header = ["MCP 2"] + lines[1:lines.index("Y") + 1]
+    rows = [" ".join(struct.pack(">d", v).hex() for v in row) for row in inst.Y.tolist()]
+    return "\n".join(header + rows) + "\n"
+
+
 def _per_value_text(inst):
-    """Reference ``.mcp`` text with every float formatted on its own by ``format(x, ".17g")``."""
+    """Version 1 ``.mcp`` text with every float formatted on its own by ``format(x, ".17g")``."""
     def fmt(values):
         return " ".join(format(float(v), ".17g") for v in values)
 

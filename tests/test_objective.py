@@ -11,8 +11,6 @@ from maxcap import (
     Solution,
     SolverConfig,
     ggx,
-    marginal_gain,
-    mask,
     objective,
     objective_gradient,
     objective_relaxed,
@@ -26,18 +24,30 @@ def one_zone():
 
 
 class TestMask:
+    """A selection masks each zone's attractions: only selected locations add to G."""
+
+    @staticmethod
+    def values(selected):
+        inst = Instance.from_arrays([1.0], [[1.0, 2.0, 3.0]], MultinomialLogit())
+        ev = IncrementalEvaluator(inst)
+        ev.reset(selected)
+        return objective(inst, selected), ev.current_objective()
+
     def test_partial(self):
-        assert mask(np.array([1.0, 2.0, 3.0]), {0, 2}).tolist() == [1.0, 0.0, 3.0]
+        assert self.values({0, 2}) == (4 / 5, 4 / 5)
 
     def test_empty(self):
-        assert mask(np.array([1.0, 2.0, 3.0]), set()).tolist() == [0.0, 0.0, 0.0]
+        assert self.values(set()) == (0.0, 0.0)
 
     def test_identity(self):
-        assert mask(np.array([1.0, 2.0, 3.0]), {0, 1, 2}).tolist() == [1.0, 2.0, 3.0]
+        assert self.values({0, 1, 2}) == (6 / 7, 6 / 7)
 
     def test_out_of_range(self):
+        inst = Instance.from_arrays([1.0], [[1.0, 2.0]], MultinomialLogit())
         with pytest.raises(ValueError):
-            mask(np.array([1.0, 2.0]), {2})
+            objective(inst, {2})
+        with pytest.raises(ValueError):
+            IncrementalEvaluator(inst).reset({2})
 
 
 class TestObjective:
@@ -197,26 +207,42 @@ class TestBatched:
 
 
 class TestMarginalGain:
+    """``IncrementalEvaluator.gains`` prices f(S + j) - f(S) for j outside S."""
+
+    @staticmethod
+    def gain(inst, selected, j):
+        ev = IncrementalEvaluator(inst)
+        ev.reset(selected)
+        return float(ev.gains([j])[0])
+
+    @staticmethod
+    def difference(inst, selected, j):
+        return objective(inst, [*selected, j]) - objective(inst, selected)
+
     def test_from_empty(self, one_zone):
-        assert marginal_gain(one_zone, [], 0) == pytest.approx(0.5, abs=1e-12)
+        assert self.gain(one_zone, [], 0) == pytest.approx(0.5, abs=1e-12)
+        assert self.gain(one_zone, [], 0) == pytest.approx(self.difference(one_zone, [], 0), abs=1e-12)
 
     def test_second_addition(self, one_zone):
-        assert marginal_gain(one_zone, [0], 1) == pytest.approx(1 / 6, abs=1e-12)
+        assert self.gain(one_zone, [0], 1) == pytest.approx(1 / 6, abs=1e-12)
+        assert self.gain(one_zone, [0], 1) == pytest.approx(self.difference(one_zone, [0], 1), abs=1e-12)
 
     def test_zero_attraction_location(self):
         inst = Instance.from_arrays([1.0, 2.0], [[1.0, 0.0], [3.0, 0.0]], MultinomialLogit())
-        assert marginal_gain(inst, [0], 1) == 0.0
+        assert self.gain(inst, [0], 1) == 0.0
+        assert self.difference(inst, [0], 1) == 0.0
 
     def test_rejects_selected(self, one_zone):
         with pytest.raises(ValueError):
-            marginal_gain(one_zone, [0], 0)
+            self.gain(one_zone, [0], 0)
 
     def test_strictly_positive_with_attraction(self, rng):
-        inst = planar(zones=10, m=8, seed=2)
-        for _ in range(30):
-            s = rng.choice(8, size=int(rng.integers(0, 8)), replace=False)
-            j = int(rng.choice(np.setdiff1d(np.arange(8), s)))
-            assert marginal_gain(inst, s, j) > 0.0
+        for inst in (planar(zones=10, m=8, seed=2), planar(zones=10, m=8, seed=2, nested=True)):
+            for _ in range(30):
+                s = rng.choice(8, size=int(rng.integers(0, 8)), replace=False).tolist()
+                j = int(rng.choice(np.setdiff1d(np.arange(8), s)))
+                assert self.gain(inst, s, j) > 0.0
+                assert self.gain(inst, s, j) == pytest.approx(self.difference(inst, s, j), abs=1e-12)
 
 
 class TestStructuralProperties:
@@ -386,7 +412,7 @@ class TestIncrementalEvaluator:
             if j in s:
                 expected = f - objective(inst, sorted(set(s) - {j}))
             else:
-                expected = marginal_gain(inst, s, j)
+                expected = objective(inst, s + [j]) - f
             assert d[j] == pytest.approx(expected, abs=1e-12)
 
 
