@@ -39,9 +39,7 @@ from .solver import (
     Phase,
     RunReport,
     SolverConfig,
-    exchange_search,
     ggx,
-    gradient_local_search,
     greedy,
     solve_subproblem,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "Phase",
     "RunReport",
     "SolverConfig",
-    "exchange_search",
     "ggx",
-    "gradient_local_search",
     "greedy",
     "solve_subproblem",
 ]

@@ -221,6 +221,10 @@ def write_instance(inst: Instance, path) -> None:
         fh.writelines(row.astype(">f8").tobytes().hex(" ", 8) + "\n" for row in inst.Y)
 
 
+def _is_content(line: str) -> bool:
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 class _Reader:
     """Line cursor over an .mcp file's text; skips comments, reports 1-based line numbers.
 
@@ -243,9 +247,15 @@ class _Reader:
             end = len(text) if end < 0 else end
             line, self.offset = text[self.offset:end], end + 1
             self.lineno += 1
-            if line.strip() and not line.lstrip().startswith("#"):
+            if _is_content(line):
                 return self.lineno, line
         self.fail(self.lineno + 1, f"unexpected end of file, missing section '{section}'")
+
+    def expect_end(self, message: str):
+        """Fail at the first line left that is neither blank nor a comment."""
+        for n, line in enumerate(self.text[self.offset:].split("\n"), self.lineno + 1):
+            if _is_content(line):
+                self.fail(n, message)
 
     def next(self, section: str):
         n, line = self.next_line(section)
@@ -395,6 +405,7 @@ def read_instance(path) -> Instance:
     if tokens != ["Y"]:
         reader.fail(n, "expected section 'Y'")
     Y, row_lines = parse_y(reader, n_zones, m)
+    reader.expect_end(f"unexpected text after the last of {n_zones} Y rows")
 
     if nest is not None and nest.size != m:
         raise FormatError(f"{reader.path}: nest assignment has {nest.size} entries, expected {m}")

@@ -239,9 +239,9 @@ class IncrementalEvaluator:
     ``reset`` and kept until the next one, and a swap scan recomputes nest
     ``lo`` of ``j_out`` alone.  Nests with ``mu = 1`` need no cache, since
     their ``dG`` is the stored block itself.  State belongs to a single
-    run; it is not shared across threads.  ``reset`` rebuilds the cache
-    from scratch after every accepted move, which keeps drift out of the
-    accepted trajectory.
+    run; it is not shared across threads.  ``reset`` rebuilds the state
+    from scratch, and the solver prices every proposal with it, so no drift
+    enters the accepted trajectory.
     """
 
     def __init__(self, inst: Instance):

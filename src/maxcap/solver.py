@@ -3,23 +3,22 @@
 Phase 1 builds a size-C selection greedily; monotonicity plus submodularity
 of the captured-demand objective guarantee the warm start is within a
 (1 - 1/e) factor of the optimum.  Phases 2 and 3 are one loop,
-:func:`_climb`, fed two proposals: propose a selection, re-price it from
-scratch with :func:`~maxcap.objective.objective`, and keep it only when the
-true objective strictly improves (:func:`~maxcap.objective.improves`);
-the first rejected proposal ends the phase.  Phase 2's proposal linearizes
-the binary objective at the incumbent's indicator point and maximizes the
-linear model exactly over the region of selections within symmetric
-difference ``delta`` of the incumbent (:func:`solve_subproblem`,
-O(m * delta / 2) via partial selection of extreme coefficients).  Phase 3's
-proposal is the best single swap, so it runs best-improvement swaps to a
-local optimum.  Both phases share one
-:class:`~maxcap.objective.IncrementalEvaluator`, reset to each accepted
-selection; greedy keeps its own.
+:func:`_climb`, fed two proposals: propose a selection, price it from
+scratch with :meth:`~maxcap.objective.IncrementalEvaluator.reset`, and keep
+it only when its objective strictly improves
+(:func:`~maxcap.objective.improves`); the first rejected proposal ends the
+phase.  Phase 2's proposal linearizes the binary objective at the
+incumbent's indicator point and maximizes the linear model exactly over the
+region of selections within symmetric difference ``delta`` of the incumbent
+(:func:`solve_subproblem`, O(m * delta / 2) via partial selection of extreme
+coefficients).  Phase 3's proposal is the best single swap, so it runs
+best-improvement swaps to a local optimum.  Both phases share one
+:class:`~maxcap.objective.IncrementalEvaluator`; greedy keeps its own.
 
 Every tie is broken deterministically (smallest index, then fewest swaps), so
 a run is a pure function of (instance, config) whenever no time budget is
-hit.  All accepted objective values come from the canonical from-scratch
-evaluation in :mod:`maxcap.objective`; the incremental caches only rank
+hit.  Every reported objective is the evaluator's from-scratch value of its
+selection, right after ``reset``; incremental move prices only rank
 candidates, so recorded phase trajectories are monotone by construction.
 """
 
@@ -31,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .objective import IncrementalEvaluator, Instance, Solution, improves, objective
+# objective is unused here but stays bound, where bench/tracing.py wraps it by name
+from .objective import IncrementalEvaluator, Instance, Solution, improves, objective  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -39,8 +39,6 @@ __all__ = [
     "RunReport",
     "greedy",
     "solve_subproblem",
-    "gradient_local_search",
-    "exchange_search",
     "ggx",
 ]
 
@@ -140,8 +138,8 @@ def greedy(inst: Instance, C: int) -> Solution:
         ev.reset(chosen)
         bound[chosen[-1]] = -np.inf
         chosen.append(_lazy_pick(ev, bound, inst.m - len(chosen)))
-    chosen.sort()
-    return Solution(tuple(chosen), objective(inst, chosen))
+    ev.reset(chosen)
+    return Solution(tuple(sorted(chosen)), ev.current_objective())
 
 
 def _lazy_pick(ev, bound, n_open):
@@ -236,30 +234,31 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     return frozenset(result)
 
 
-def _climb(ev, inst, start, cfg, deadline, propose, f_start=None):
-    """Propose, re-price and accept until a proposal fails to strictly improve.
+def _climb(ev, start, cfg, deadline, propose):
+    """Propose, price and accept until a proposal fails to strictly improve.
 
     ``propose(ev, current, cfg)`` maps the incumbent (a frozenset, with
-    ``ev`` reset to it) to a candidate selection of the same size.  A full
-    selection (C = m) has no other selection to move to and runs zero
-    iterations.  ``f_start`` is ``objective(inst, start)`` when the caller
-    has just computed it; otherwise the start is priced here.  Returns the
-    final solution and the number of proposals.
+    ``ev`` reset to it) to a candidate selection of the same size.  Each
+    candidate is priced by ``ev.reset``, from scratch; an accepted one
+    leaves ``ev`` on the new incumbent, and a rejected one ends the loop
+    with ``ev`` on the candidate.  A full selection (C = m) has no other
+    selection to move to and runs zero iterations.  Returns the final
+    solution and the number of proposals.
     """
     if len(start.selected) != cfg.C:
         raise ValueError(f"start selection has {len(start.selected)} locations, expected {cfg.C}")
     current = frozenset(start.selected)
-    f_cur = objective(inst, current) if f_start is None else f_start
     ev.reset(current)
+    f_cur = ev.current_objective()
     iterations = 0
-    while cfg.C < inst.m and not deadline.expired():
+    while cfg.C < ev.m and not deadline.expired():
         iterations += 1
         candidate = propose(ev, current, cfg)
-        f_cand = objective(inst, candidate)
+        ev.reset(candidate)
+        f_cand = ev.current_objective()
         if not improves(f_cand, f_cur):
             break
         current, f_cur = candidate, f_cand
-        ev.reset(current)
     return Solution(tuple(sorted(current)), f_cur), iterations
 
 
@@ -279,18 +278,6 @@ def _best_swap(ev, current, _cfg):
             best_val, best_pair = float(vals[t]), (j, t)
     j, t = best_pair
     return current - {j} | {t}
-
-
-def gradient_local_search(inst: Instance, start: Solution, cfg: SolverConfig) -> Solution:
-    """Phase 2: repeat linearize-and-reselect until no strict improvement."""
-    ev, deadline = IncrementalEvaluator(inst), _Deadline(cfg.time_budget)
-    return _climb(ev, inst, start, cfg, deadline, _linear_model_move)[0]
-
-
-def exchange_search(inst: Instance, start: Solution, cfg: SolverConfig) -> Solution:
-    """Phase 3: best-improvement single swaps until locally optimal."""
-    ev, deadline = IncrementalEvaluator(inst), _Deadline(cfg.time_budget)
-    return _climb(ev, inst, start, cfg, deadline, _best_swap)[0]
 
 
 def ggx(inst: Instance, cfg: SolverConfig):
@@ -313,9 +300,7 @@ def ggx(inst: Instance, cfg: SolverConfig):
         ev = IncrementalEvaluator(inst)
         for name, propose in (("gradient", _linear_model_move), ("exchange", _best_swap)):
             t0 = t1
-            # every phase's objective is objective() of its selection: no need to re-price it
-            solution, iterations = _climb(ev, inst, solution, cfg, deadline, propose,
-                                          solution.objective)
+            solution, iterations = _climb(ev, solution, cfg, deadline, propose)
             t1 = time.perf_counter()
             phases.append(Phase(name, solution.objective, iterations, (t1 - t0) * 1e3))
     return solution, RunReport(tuple(phases))

@@ -392,6 +392,33 @@ class TestFileFormat:
         with pytest.raises(FormatError, match=r"t\.mcp:8: unexpected end of file, missing section 'Y row 2'$"):
             read_instance(path)
 
+    @pytest.mark.parametrize("extra", ["garbage here", "0.125 1"], ids=["garbage", "extra-row"])
+    def test_text_after_version_1_y_block_rejected(self, tmp_path, extra):
+        # zones 1 but a second Y row too: a wrong zone count must not truncate Y quietly
+        path = tmp_path / "e.mcp"
+        path.write_text(f"MCP 1\nmodel mnl\nm 2\nzones 1\nq 1\nY\n0.5 0.25\n\n# end\n{extra}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=r"e\.mcp:10: unexpected text after the last of 1 Y rows$"):
+            read_instance(path)
+
+    def test_text_after_version_2_y_block_rejected(self, tmp_path):
+        path = tmp_path / "e.mcp"
+        write_instance(generate_euclidean(GeneratorParams(zones=4, locations=3, seed=2),
+                                          MultinomialLogit()), path)
+        n_lines = path.read_text(encoding="utf-8").count("\n")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("# trailing comment\n\n3ff0000000000000 3ff0000000000000 3ff0000000000000\n")
+        with pytest.raises(FormatError,
+                           match=rf"e\.mcp:{n_lines + 3}: unexpected text after the last of 4 Y rows$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("version, row", [("1", "0.5 0.25"), ("2", "3fe0000000000000 3fd0000000000000")])
+    def test_comments_and_blank_lines_may_follow_y_block(self, tmp_path, version, row):
+        path = tmp_path / "t.mcp"
+        path.write_text(f"MCP {version}\nmodel mnl\nm 2\nzones 1\nq 1\nY\n{row}\n\n# end\n  \n",
+                        encoding="utf-8")
+        assert read_instance(path).Y.tolist() == [[0.5, 0.25]]
+
     def test_unknown_model_tag(self, tmp_path):
         path = tmp_path / "u.mcp"
         path.write_text("MCP 1\nmodel probit\nm 1\nzones 1\nq 1\nY\n1\n", encoding="utf-8")

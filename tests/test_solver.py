@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -15,18 +16,22 @@ from maxcap import (
     SolverConfig,
     brute_force_opt,
     brute_force_subproblem,
-    exchange_search,
     ggx,
-    gradient_local_search,
     greedy,
     objective,
     solve_subproblem,
 )
 from conftest import dense_random, planar
+from maxcap.solver import _best_swap, _climb, _Deadline, _linear_model_move
 
 
 def single_zone(y):
     return Instance.from_arrays([1.0], [y], MultinomialLogit())
+
+
+def climb(inst, start, cfg, propose):
+    """One local-search phase from ``start`` on a fresh evaluator: (solution, iterations)."""
+    return _climb(IncrementalEvaluator(inst), start, cfg, _Deadline(cfg.time_budget), propose)
 
 
 def eager_greedy(inst, C):
@@ -235,7 +240,7 @@ class TestGradientLocalSearch:
     def test_fixed_point_at_optimum(self, rng):
         inst = dense_random(rng, zones=6, m=8)
         opt = brute_force_opt(inst, 3)
-        out = gradient_local_search(inst, opt, SolverConfig(C=3))
+        out = climb(inst, opt, SolverConfig(C=3), _linear_model_move)[0]
         assert out.selected == opt.selected
 
     def test_improves_suboptimal_greedy(self):
@@ -244,26 +249,26 @@ class TestGradientLocalSearch:
         warm = greedy(inst, 3)
         opt = brute_force_opt(inst, 3)
         assert warm.objective < opt.objective - 1e-9
-        out = gradient_local_search(inst, warm, SolverConfig(C=3))
+        out = climb(inst, warm, SolverConfig(C=3), _linear_model_move)[0]
         assert out.objective >= warm.objective
 
     def test_single_swap_steps_with_delta_two(self, rng):
         inst = dense_random(rng, zones=6, m=9, nested=True)
         warm = greedy(inst, 3)
-        out = gradient_local_search(inst, warm, SolverConfig(C=3, delta=2))
+        out = climb(inst, warm, SolverConfig(C=3, delta=2), _linear_model_move)[0]
         assert len(out.selected) == 3
         assert out.objective >= warm.objective
 
     def test_rejects_wrong_start_size(self):
         inst = single_zone([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            gradient_local_search(inst, Solution((0,)), SolverConfig(C=2))
+            climb(inst, Solution((0,)), SolverConfig(C=2), _linear_model_move)
 
     @pytest.mark.parametrize("mode", ["gradient", "marginal"])
     def test_coefficient_modes_never_hurt(self, rng, mode):
         inst = dense_random(rng, zones=7, m=10, nested=True)
         warm = greedy(inst, 3)
-        out = gradient_local_search(inst, warm, SolverConfig(C=3, coef_mode=mode))
+        out = climb(inst, warm, SolverConfig(C=3, coef_mode=mode), _linear_model_move)[0]
         assert out.objective >= warm.objective - 1e-12
 
 
@@ -271,19 +276,19 @@ class TestExchange:
     def test_fixed_point_at_optimum(self, rng):
         inst = dense_random(rng, zones=6, m=8, nested=True)
         opt = brute_force_opt(inst, 3)
-        out = exchange_search(inst, opt, SolverConfig(C=3))
+        out = climb(inst, opt, SolverConfig(C=3), _best_swap)[0]
         assert out.selected == opt.selected
 
     def test_hand_example(self):
         inst = single_zone([3.0, 2.0, 1.0])
-        out = exchange_search(inst, Solution((1, 2)), SolverConfig(C=2))
+        out = climb(inst, Solution((1, 2)), SolverConfig(C=2), _best_swap)[0]
         assert out.selected == (0, 1)
         assert out.objective == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_result_is_one_swap_local_optimum(self, rng):
         for trial in range(10):
             inst = dense_random(rng, zones=6, m=10, nested=trial % 2 == 1)
-            out = exchange_search(inst, greedy(inst, 3), SolverConfig(C=3))
+            out = climb(inst, greedy(inst, 3), SolverConfig(C=3), _best_swap)[0]
             f = out.objective
             selected = set(out.selected)
             for j in selected:
@@ -381,20 +386,59 @@ class TestGgx:
         assert [p.name for p in report.phases] == ["greedy", "gradient", "exchange"]
         assert len(built) == 2  # greedy's own, then one shared by gradient and exchange
 
-    def test_phase_hand_offs_are_not_repriced(self, rng, monkeypatch):
-        calls = []
+    def test_greedy_and_ggx_never_reach_the_oracle_kernel(self, rng, monkeypatch):
+        def refuse(inst, rows):
+            raise AssertionError("the solver priced through the oracle")
 
-        def counting_objective(inst, selected):
-            calls.append(selected)
-            return objective(inst, selected)
-
-        monkeypatch.setattr(maxcap.solver, "objective", counting_objective)
+        # sys.modules: the package attribute maxcap.objective is the function
+        monkeypatch.setattr(sys.modules["maxcap.objective"], "_values", refuse)
+        with pytest.raises(AssertionError):
+            objective(planar(zones=5, m=4), (0,))
         for nested in (False, True):
             inst = dense_random(rng, zones=12, m=10, nested=nested)
-            calls.clear()
+            warm = greedy(inst, 4)
+            sol, report = ggx(inst, SolverConfig(C=4))
+            assert report.phases[0].objective == warm.objective
+            assert sol.objective >= warm.objective
+
+    def test_each_proposal_costs_one_reset(self, rng, monkeypatch):
+        resets = []
+
+        class Counting(IncrementalEvaluator):
+            def reset(self, selected):
+                resets.append(self)
+                super().reset(selected)
+
+        monkeypatch.setattr(maxcap.solver, "IncrementalEvaluator", Counting)
+        for nested in (False, True):
+            inst = dense_random(rng, zones=12, m=10, nested=nested)
+            start = Solution((0, 1, 2, 3))  # a poor start, so exchange takes several steps
+            for propose in (_linear_model_move, _best_swap):
+                ev = Counting(inst)
+                resets.clear()
+                _, iterations = _climb(ev, start, SolverConfig(C=4), _Deadline(None), propose)
+                assert len(resets) == 1 + iterations  # the start, then one per proposal
+            assert iterations >= 2
+            resets.clear()
             _, report = ggx(inst, SolverConfig(C=4))
-            # greedy's result, then one proposal per local-search iteration
-            assert len(calls) == 1 + report.phases[1].iterations + report.phases[2].iterations
+            shared = resets[-1]
+            # construction, each phase's start, then one per proposal
+            assert resets.count(shared) == 3 + report.phases[1].iterations + report.phases[2].iterations
+
+    def test_reported_objectives_are_the_evaluators_values_mnl(self, rng):
+        for trial in range(4):
+            inst = dense_random(rng, zones=40, m=30, zero_frac=0.1)
+            cfg = SolverConfig(C=6)
+            sol, report = ggx(inst, cfg)
+            warm = greedy(inst, cfg.C)
+            mid, _ = climb(inst, warm, cfg, _linear_model_move)
+            assert mid.objective == report.phases[1].objective
+            for s, f in zip((warm, mid, sol), report.phase_objectives):
+                ev = IncrementalEvaluator(inst)
+                ev.reset(s.selected)
+                assert f == ev.current_objective()
+                assert f == pytest.approx(objective(inst, s.selected), rel=1e-15, abs=0)
+            assert sol.objective == report.phases[2].objective
 
     def test_rejects_oversized_cardinality(self):
         inst = single_zone([1.0, 2.0])
