@@ -111,8 +111,8 @@ class NestedLogit(ChoiceModel):
         Integer array of length m mapping each location to its nest,
         values in [0, L).  Every nest must contain at least one location.
     mu:
-        Per-nest dissimilarity parameters, all >= 1.  With mu_l = 1
-        everywhere the model degenerates to :class:`MultinomialLogit`.
+        Per-nest dissimilarity parameters, all finite and >= 1.  With
+        mu_l = 1 everywhere the model degenerates to :class:`MultinomialLogit`.
 
     Gradient convention at degenerate points: when the power sum of a nest
     with mu_l > 1 is zero, the partial derivative for its members is defined
@@ -134,8 +134,8 @@ class NestedLogit(ChoiceModel):
         if np.any(counts == 0):
             empty = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"nest {empty} has no locations")
-        if np.any(mu < 1.0):
-            raise ValueError("dissimilarity parameters mu must all be >= 1")
+        if not np.all(np.isfinite(mu) & (mu >= 1.0)):
+            raise ValueError("dissimilarity parameters mu must all be finite and >= 1")
         self.nest_of = nest_of
         self.mu = mu
         self.n_nests = L

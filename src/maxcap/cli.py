@@ -175,7 +175,6 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         C=args.C,
         delta=args.delta,
-        coef_mode=args.coef_mode,
         time_budget=args.time_budget,
         algo=args.algo,
     )
@@ -391,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--C", type=_positive_int, required=True)
     solve.add_argument("--delta", type=_positive_int, default=4)
-    solve.add_argument("--coef-mode", choices=("gradient", "marginal"), default="gradient")
+    solve.add_argument("--coef-mode", choices=("gradient",), default="gradient",
+                       help="accepted for existing scripts; sets nothing")
     solve.add_argument("--algo", choices=("gh", "ggx"), default="ggx")
     solve.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET)
     solve.add_argument("--json", action="store_true")

@@ -382,23 +382,13 @@ class IncrementalEvaluator:
 
     # -- local-search coefficients --------------------------------------------
 
-    def coefficients(self, mode: str = "gradient") -> np.ndarray:
-        """Linear-model coefficients d_j at the current selection's indicator.
+    def coefficients(self) -> np.ndarray:
+        """Phase 2's linear model: the relaxation gradient at the current selection's indicator.
 
-        ``gradient`` is the relaxation gradient evaluated at the binary point:
-        for nested models with mu > 1 this assigns 0 to unselected locations
+        For nested models with mu > 1 this assigns 0 to unselected locations
         whose nest already holds a selected one (the true one-sided
         derivative) and 1 to members of empty nests (directional limit).
-        ``marginal`` prices j outside S by its gain f(S + j) - f(S) and j
-        inside S by its loss f(S) - f(S - j) instead.
         """
-        if mode == "marginal":
-            d = self._gains(self._state_dgs(), self._G)
-            for j in np.flatnonzero(self._in):
-                d[j] = self._without(j)[4]
-            return d
-        if mode != "gradient":
-            raise ValueError(f"unknown coefficient mode {mode!r}")
         weight = self._w / (1.0 + self._G)
         d = np.empty(self.m)
         for l, (cols, y, yp) in enumerate(zip(self._cols, self._Yb, self._Ypb)):

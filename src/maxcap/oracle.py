@@ -128,6 +128,8 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
     then additions of the largest.
     """
     d = np.asarray(d, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("coefficients must be finite")
     m = d.size
     inside = tuple(sorted(int(j) for j in incumbent))
     if len(inside) != C:

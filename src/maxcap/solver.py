@@ -50,16 +50,15 @@ class SolverConfig:
     ``algo`` picks the pipeline: "ggx" runs all three phases, "gh" the
     greedy warm-up only.  ``delta`` bounds the symmetric difference explored
     by the phase-2 subproblem; it is clamped per instance to
-    ``2 * min(C, m - C)`` so the region stays feasible.  ``coef_mode``
-    selects how phase-2 coefficients are priced ("gradient" or "marginal").
-    ``time_budget`` is wall-clock seconds for the whole run, checked between
-    iterations only.  The solver draws no random numbers, so a run needs no
-    seed.
+    ``2 * min(C, m - C)`` so the region stays feasible.  Phase 2 has one
+    linear model, the relaxation gradient at the incumbent's indicator
+    point.  ``time_budget`` is wall-clock seconds for the whole run, checked
+    between iterations only.  The solver draws no random numbers, so a run
+    needs no seed.
     """
 
     C: int
     delta: int = 4
-    coef_mode: str = "gradient"
     time_budget: float | None = None
     algo: str = "ggx"
 
@@ -68,8 +67,6 @@ class SolverConfig:
             raise ValueError(f"cardinality C must be >= 1, got {self.C}")
         if self.delta < 2 or self.delta % 2 != 0:
             raise ValueError(f"delta must be a positive even integer, got {self.delta}")
-        if self.coef_mode not in ("gradient", "marginal"):
-            raise ValueError(f"coef_mode must be 'gradient' or 'marginal', got {self.coef_mode!r}")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive when given")
         if self.algo not in ("gh", "ggx"):
@@ -202,6 +199,8 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError("coefficient vector must be 1-d")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("coefficients must be finite")
     if np.any(d < 0.0):
         raise ValueError("coefficients must be non-negative")
     m = d.size
@@ -265,7 +264,7 @@ def _climb(ev, start, cfg, deadline, propose):
 def _linear_model_move(ev, current, cfg):
     """Phase 2's proposal: the best selection of the linear model within delta of current."""
     delta = cfg.effective_delta(ev.m)
-    return solve_subproblem(ev.coefficients(cfg.coef_mode), current, cfg.C, delta)
+    return solve_subproblem(ev.coefficients(), current, cfg.C, delta)
 
 
 def _best_swap(ev, current, _cfg):

@@ -44,7 +44,7 @@ def pool_instance(model, zones, locations, seed):
 def test_pool_solves_match_reference(workload):
     reference = json.loads(REFERENCE.read_text())[workload]
     model, zones, locations, C = WORKLOADS[workload]
-    cfg = SolverConfig(C=C, delta=4, coef_mode="gradient")
+    cfg = SolverConfig(C=C, delta=4)
     for seed in SEEDS:
         solution, report = ggx(pool_instance(model, zones, locations, seed), cfg)
         printed = float(f"{solution.objective:.12f}")

@@ -98,6 +98,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             NestedLogit([0, 0], [0.5])
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu(self, mu):
+        # mu = inf would price the empty selection above zero
+        with pytest.raises(ValueError, match="mu must all be finite"):
+            NestedLogit([0, 0, 1, 1], [mu, 1.2])
+
     def test_unreferenced_nest(self):
         with pytest.raises(ValueError):
             NestedLogit([0, 0], [1.2, 1.3])

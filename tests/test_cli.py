@@ -137,6 +137,16 @@ class TestSolve:
     def test_odd_delta_is_usage_error(self, capsys, instance_file):
         assert run(capsys, "solve", str(instance_file), "--C", "3", "--delta", "3")[0] == 1
 
+    def test_benchmark_argv(self, capsys, instance_file):
+        # the solve command line bench/run.py issues; --coef-mode is accepted and sets nothing
+        argv = ["solve", str(instance_file), "--C", "5", "--algo", "ggx", "--delta", "4"]
+        code, raw, _ = run(capsys, *argv, "--coef-mode", "gradient", "--json")
+        assert code == 0
+        assert '"coef_mode": "gradient"' in raw
+        assert raw == run(capsys, *argv, "--json")[1]
+        code, _, err = run(capsys, *argv, "--coef-mode", "marginal", "--json")
+        assert code == 1 and "invalid choice" in err
+
     def test_readme_json_example(self, capsys, tmp_path, monkeypatch):
         # README's own generate and solve commands print its JSON report block
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -173,6 +173,8 @@ class TestAssignNests:
             assign_nests(6, 2, [1.1])
         with pytest.raises(ValueError):
             assign_nests(6, 2, [0.9, 1.1])
+        with pytest.raises(ValueError):
+            assign_nests(4, 2, [np.inf, 1.2])
 
 
 class TestFileFormat:
@@ -445,6 +447,14 @@ class TestFileFormat:
         path.write_text(f"MCP 1\nmodel mnl\nm 2\nzones 1\nq {q}\nY\n{row}\n", encoding="utf-8")
         message = ("b.mcp: zone weights must be positive" if reason == "positive" else
                    "b.mcp:7: Y row 1: attraction entries must be finite and non-negative")
+        with pytest.raises(FormatError, match=re.escape(message) + "$"):
+            read_instance(path)
+
+    def test_non_finite_mu_rejected(self, tmp_path):
+        path = tmp_path / "n.mcp"
+        path.write_text("MCP 1\nmodel nested 2\nmu nan 1.2\nnest 1 2\nm 2\nzones 1\nq 1\nY\n1 1\n",
+                        encoding="utf-8")
+        message = "n.mcp: dissimilarity parameters mu must all be finite and >= 1"
         with pytest.raises(FormatError, match=re.escape(message) + "$"):
             read_instance(path)
 

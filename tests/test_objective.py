@@ -398,22 +398,19 @@ class TestIncrementalEvaluator:
             ev.reset(s)
             x = np.zeros(9)
             x[s] = 1.0
-            d = ev.coefficients("gradient")
+            d = ev.coefficients()
             assert d == pytest.approx(objective_gradient(inst, x), abs=1e-12)
 
-    def test_marginal_coefficients(self, rng):
+    def test_removal_losses_match_objective(self, rng):
+        # the loss f(S) - f(S - j) that _without prices for every swap scan
         inst = dense_random(rng, zones=6, m=8, nested=True)
         ev = IncrementalEvaluator(inst)
         s = [1, 4, 6]
         ev.reset(s)
-        d = ev.coefficients("marginal")
+        losses = ev.current_objective() - ev.objectives_with_removals()[s]
         f = objective(inst, s)
-        for j in range(8):
-            if j in s:
-                expected = f - objective(inst, sorted(set(s) - {j}))
-            else:
-                expected = objective(inst, s + [j]) - f
-            assert d[j] == pytest.approx(expected, abs=1e-12)
+        for j, loss in zip(s, losses):
+            assert loss == pytest.approx(f - objective(inst, sorted(set(s) - {j})), abs=1e-12)
 
 
 class TestInstanceValidation:

@@ -113,6 +113,12 @@ class TestBruteForceSubproblem:
         d = np.array([5.0, 1.0, 4.0, 2.0])
         assert brute_force_subproblem(d, {0, 1}, 2, 2) == frozenset({0, 2})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("delta", [2, 4])
+    def test_non_finite_coefficients_rejected(self, bad, delta):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            brute_force_subproblem(np.array([bad, 1.0, 2.0, 3.0]), {0, 1}, 2, delta)
+
     def test_no_outside_locations(self):
         with pytest.raises(ValueError):
             brute_force_subproblem(np.array([1.0, 2.0]), {0, 1}, 2, 2)
