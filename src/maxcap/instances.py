@@ -324,7 +324,9 @@ def _parse_hex_matrix(reader, n_zones, m):
     cells = n_zones * m
     block = reader.text[reader.offset:reader.offset + 17 * cells]
     try:
-        raw = bytes.fromhex(block) if block[16::17] == (" " * (m - 1) + "\n") * n_zones else b""
+        # a short block is walked, so the separator pattern is built only at full length
+        whole = len(block) == 17 * cells and block[16::17] == (" " * (m - 1) + "\n") * n_zones
+        raw = bytes.fromhex(block) if whole else b""
     except ValueError:
         raw = b""
     del block  # the text copy goes before the arrays are made

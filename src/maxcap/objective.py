@@ -218,10 +218,10 @@ def objective_gradient(inst: Instance, x: np.ndarray) -> np.ndarray:
 class IncrementalEvaluator:
     """Exact move pricing against one cached selection, for one solver run.
 
-    Attractions are stored location-major: one C-contiguous
-    ``(locations in nest, zones)`` block per nest, in ``nest_cols`` order,
-    next to the same block raised to the nest's ``mu``.  Multinomial logit is
-    one nest with ``mu = 1``, where the power is skipped.  The cached state is
+    Attractions raised to the nest's ``mu`` are stored location-major: one
+    C-contiguous ``(locations in nest, zones)`` block per nest, in
+    ``nest_cols`` order, unpowered where ``mu = 1`` (multinomial logit is one
+    such nest); phase 2 gathers raw ones from ``Y``.  The cached state is
     the selection's per-nest power sums ``T``, their roots
     ``V = T ** (1/mu)``, the zone values ``G = sum_l V_l`` and
     ``f = sum q G / (1 + G)``.  Opening location ``t`` of nest ``l`` raises
@@ -257,9 +257,9 @@ class IncrementalEvaluator:
         else:
             raise TypeError("incremental evaluation supports the bundled models only")
         self._inv_mu = 1.0 / self._mu
-        # row r of block l is location cols_l[r] across all zones
-        self._Yb = [self.Y.T[cols] for cols in self._cols]
-        self._Ypb = [y if mu == 1.0 else y ** mu for y, mu in zip(self._Yb, self._mu)]
+        # row r of block l is location cols_l[r] across all zones, raised to mu_l
+        self._Ypb = [self.Y.T[cols] if mu == 1.0 else self.Y.T[cols] ** mu
+                     for cols, mu in zip(self._cols, self._mu)]
         self._buf = np.empty((max(cols.size for cols in self._cols), self.Y.shape[0]))
         # a nest with mu != 1 computes a swap scan's dG into a second scratch block
         self._scratch = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
@@ -345,6 +345,9 @@ class IncrementalEvaluator:
         ``objectives_with_additions()[j] - f`` by rounding.
         """
         cols = np.asarray(cols, dtype=np.intp)
+        bad = cols[(cols < 0) | (cols >= self.m)]  # numpy would wrap a negative index
+        if bad.size:
+            raise ValueError(f"location {bad[0]} lies outside [0, {self.m})")
         if np.any(self._in[cols]):
             raise ValueError("gains are priced for unselected locations only")
         gains = np.empty(cols.size)
@@ -364,6 +367,8 @@ class IncrementalEvaluator:
 
     def objectives_with_swap(self, j_out: int) -> np.ndarray:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
+        if not 0 <= j_out < self.m:
+            raise ValueError(f"location {j_out} lies outside [0, {self.m})")
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
         lo, sums, roots, g_base, loss = self._without(j_out)
@@ -391,15 +396,15 @@ class IncrementalEvaluator:
         """
         weight = self._w / (1.0 + self._G)
         d = np.empty(self.m)
-        for l, (cols, y, yp) in enumerate(zip(self._cols, self._Yb, self._Ypb)):
+        for l, (cols, yp) in enumerate(zip(self._cols, self._Ypb)):
             if self._mu[l] == 1.0:
-                d[cols] = y @ weight
+                d[cols] = yp @ weight
                 continue
             s = self._T[l]
             live = s > 0.0
             # where the nest is empty every member has the limit slope 1; where
             # it is live only selected members have one, y^(mu-1) T^(1/mu-1)
-            d[cols] = y @ np.where(live, 0.0, weight)
+            d[cols] = self.Y.T[cols] @ np.where(live, 0.0, weight)
             slope = np.zeros_like(s)
             slope[live] = weight[live] * s[live] ** (self._inv_mu[l] - 1.0)
             sel = self._in[cols]

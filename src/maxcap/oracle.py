@@ -132,6 +132,8 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
         raise ValueError("coefficients must be finite")
     m = d.size
     inside = tuple(sorted(int(j) for j in incumbent))
+    if len(set(inside)) != len(inside):
+        raise ValueError("incumbent indices must be distinct")
     if len(inside) != C:
         raise ValueError(f"incumbent has {len(inside)} locations, expected C={C}")
     if inside and (inside[0] < 0 or inside[-1] >= m):

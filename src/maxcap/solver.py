@@ -205,6 +205,8 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
         raise ValueError("coefficients must be non-negative")
     m = d.size
     inside = np.asarray(sorted(int(j) for j in incumbent), dtype=np.intp)
+    if len(set(inside.tolist())) != inside.size:
+        raise ValueError("incumbent indices must be distinct")
     if inside.size != C:
         raise ValueError(f"incumbent has {inside.size} locations, expected C={C}")
     if inside.size and (inside[0] < 0 or inside[-1] >= m):

@@ -1,6 +1,7 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,6 +388,22 @@ class TestFileFormat:
         path = self.write_hex(tmp_path, ["3ff0000000000000 3ff0000000000000"], zones=2)
         with pytest.raises(FormatError, match=r"x\.mcp:8: unexpected end of file, missing section 'Y row 2'$"):
             read_instance(path)
+
+    def test_short_hex_block_allocates_nothing_sized_by_the_header(self, tmp_path):
+        # the header claims 1e7 values but the block holds one: it must fail on
+        # the row, without first building a separator pattern of m * zones bytes
+        path = tmp_path / "h.mcp"
+        path.write_text("MCP 2\nmodel mnl\nm 10000000\nzones 1\nq 1\nY\n3ff0000000000000\n",
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match=r"h\.mcp:7: expected 10000000 values for Y row 1 of the Y block, found 1$"):
+                read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_file_names_missing_section(self, tmp_path):
         path = tmp_path / "t.mcp"

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,21 @@ class TestIncrementalEvaluator:
             d = ev.coefficients()
             assert d == pytest.approx(objective_gradient(inst, x), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, -11, 12, 40])
+    def test_out_of_range_locations_are_rejected(self, rng, bad):
+        # numpy would wrap a negative index onto some nest's first row and price it
+        inst = dense_random(rng, zones=30, m=12, nested=True)
+        ev = IncrementalEvaluator(inst)
+        ev.reset([0, 5, 11])
+        with pytest.raises(ValueError, match=f"location {bad} lies outside"):
+            ev.objectives_with_swap(bad)
+        with pytest.raises(ValueError, match=f"location {bad} lies outside"):
+            ev.gains([1, bad])
+        fresh = IncrementalEvaluator(inst)
+        fresh.reset([0, 5, 11])
+        assert ev.objectives_with_swap(11).tobytes() == fresh.objectives_with_swap(11).tobytes()
+        assert ev.gains([1]).tobytes() == fresh.gains([1]).tobytes()
+
     def test_removal_losses_match_objective(self, rng):
         # the loss f(S) - f(S - j) that _without prices for every swap scan
         inst = dense_random(rng, zones=6, m=8, nested=True)
@@ -411,6 +427,36 @@ class TestIncrementalEvaluator:
         f = objective(inst, s)
         for j, loss in zip(s, losses):
             assert loss == pytest.approx(f - objective(inst, sorted(set(s) - {j})), abs=1e-12)
+
+
+class TestEvaluatorMemory:
+    """Bytes traced while building an evaluator and during one run, in copies of Y.
+
+    A nested evaluator stores one location-major block per nest (the
+    attractions raised to mu) and no raw copy of Y.
+    """
+
+    @staticmethod
+    def traced(fn, inst):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = fn(inst)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kept
+        return (current - before) / inst.Y.nbytes, (peak - before) / inst.Y.nbytes
+
+    def test_nested_evaluator_holds_under_two_copies(self):
+        held, _ = self.traced(IncrementalEvaluator, planar(zones=400, m=60, beta=5.0, seed=1, nested=True))
+        assert held <= 2.0
+
+    @pytest.mark.parametrize("nested, bound", [(True, 3.4), (False, 2.7)])
+    def test_run_peak(self, nested, bound):
+        inst = planar(zones=400, m=60, beta=5.0, seed=1, nested=nested)
+        _, peak = self.traced(lambda i: ggx(i, SolverConfig(C=10)), inst)
+        assert peak <= bound
 
 
 class TestInstanceValidation:

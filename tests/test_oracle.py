@@ -119,6 +119,12 @@ class TestBruteForceSubproblem:
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             brute_force_subproblem(np.array([bad, 1.0, 2.0, 3.0]), {0, 1}, 2, delta)
 
+    @pytest.mark.parametrize("incumbent, C", [([0, 0], 2), ([3, 1, 3], 3)])
+    def test_duplicate_incumbent_rejected(self, incumbent, C):
+        d = np.array([0.1, 0.2, 0.3, 0.9, 0.8])
+        with pytest.raises(ValueError, match="^incumbent indices must be distinct$"):
+            brute_force_subproblem(d, incumbent, C, 2)
+
     def test_no_outside_locations(self):
         with pytest.raises(ValueError):
             brute_force_subproblem(np.array([1.0, 2.0]), {0, 1}, 2, 2)

@@ -194,6 +194,13 @@ class TestSubproblem:
         with pytest.raises(ValueError):
             solve_subproblem(np.array([1.0, -0.5, 3.0]), {0}, 1, 2)
 
+    @pytest.mark.parametrize("incumbent, C", [([0, 0], 2), ([3, 1, 3], 3)])
+    def test_duplicate_incumbent_rejected(self, incumbent, C):
+        # unchecked, [0, 0] passes the size check and returns one location for C = 2
+        d = np.array([0.1, 0.2, 0.3, 0.9, 0.8])
+        with pytest.raises(ValueError, match="^incumbent indices must be distinct$"):
+            solve_subproblem(d, incumbent, C, 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("delta", [2, 4])
     def test_non_finite_coefficients_rejected(self, bad, delta):
