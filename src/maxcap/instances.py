@@ -257,12 +257,17 @@ class _Reader:
             if _is_content(line):
                 self.fail(n, message)
 
-    def next(self, section: str):
-        n, line = self.next_line(section)
-        return n, line.split()
-
     def fail(self, lineno: int, message: str):
         raise FormatError(f"{self.path}:{lineno}: {message}")
+
+
+def _section(reader, name, n_values=None):
+    """The next line and its values; it must be tagged ``name`` and hold ``n_values`` values if given."""
+    n, line = reader.next_line(name)
+    tokens = line.split()
+    if not tokens or tokens[0] != name or n_values not in (None, len(tokens) - 1):
+        reader.fail(n, f"expected section '{name}'")
+    return n, tokens[1:]
 
 
 def _parse_floats(reader, lineno, tokens, expected, what):
@@ -359,53 +364,38 @@ def read_instance(path) -> Instance:
     """Parse an ``.mcp`` file of version 1 or 2; malformed input raises :class:`FormatError`."""
     reader = _Reader(path)
 
-    n, tokens = reader.next("header")
+    n, line = reader.next_line("header")
+    tokens = line.split()
     if len(tokens) != 2 or tokens[0] != "MCP":
         reader.fail(n, "expected header 'MCP <version>'")
     if tokens[1] not in _Y_DECODERS:
         reader.fail(n, f"unsupported format version '{tokens[1]}'")
     parse_y = _Y_DECODERS[tokens[1]]
 
-    n, tokens = reader.next("model")
-    if not tokens or tokens[0] != "model":
-        reader.fail(n, "expected section 'model'")
-    tag = tokens[1] if len(tokens) > 1 else ""
+    n, values = _section(reader, "model")
+    tag = values[0] if values else ""
     mu = nest = None
     if tag == "mnl":
-        pass
+        if len(values) != 1:
+            reader.fail(n, "expected 'model mnl'")
     elif tag == "nested":
-        if len(tokens) != 3:
+        if len(values) != 2:
             reader.fail(n, "expected 'model nested <L>'")
-        n_nests = _parse_count(reader, n, tokens[2], "nest count")
-        n, tokens = reader.next("mu")
-        if not tokens or tokens[0] != "mu":
-            reader.fail(n, "expected section 'mu'")
-        mu = _parse_floats(reader, n, tokens[1:], n_nests, "mu")
-        n, tokens = reader.next("nest")
-        if not tokens or tokens[0] != "nest":
-            reader.fail(n, "expected section 'nest'")
-        nest = np.array([_parse_count(reader, n, t, "nest index") - 1 for t in tokens[1:]])
+        n_nests = _parse_count(reader, n, values[1], "nest count")
+        n, values = _section(reader, "mu")
+        mu = _parse_floats(reader, n, values, n_nests, "mu")
+        n, values = _section(reader, "nest")
+        nest = np.array([_parse_count(reader, n, t, "nest index") - 1 for t in values])
     else:
         reader.fail(n, f"unsupported model '{tag}'")
 
-    n, tokens = reader.next("m")
-    if len(tokens) != 2 or tokens[0] != "m":
-        reader.fail(n, "expected section 'm'")
-    m = _parse_count(reader, n, tokens[1], "location count")
-
-    n, tokens = reader.next("zones")
-    if len(tokens) != 2 or tokens[0] != "zones":
-        reader.fail(n, "expected section 'zones'")
-    n_zones = _parse_count(reader, n, tokens[1], "zone count")
-
-    n, tokens = reader.next("q")
-    if not tokens or tokens[0] != "q":
-        reader.fail(n, "expected section 'q'")
-    q = _parse_floats(reader, n, tokens[1:], n_zones, "q")
-
-    n, tokens = reader.next("Y")
-    if tokens != ["Y"]:
-        reader.fail(n, "expected section 'Y'")
+    n, values = _section(reader, "m", 1)
+    m = _parse_count(reader, n, values[0], "location count")
+    n, values = _section(reader, "zones", 1)
+    n_zones = _parse_count(reader, n, values[0], "zone count")
+    n, values = _section(reader, "q")
+    q = _parse_floats(reader, n, values, n_zones, "q")
+    _section(reader, "Y", 0)
     Y, row_lines = parse_y(reader, n_zones, m)
     reader.expect_end(f"unexpected text after the last of {n_zones} Y rows")
 

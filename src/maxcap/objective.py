@@ -30,6 +30,7 @@ model: multinomial logit is priced as nested logit with a single nest and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ class Solution:
     objective: float | None = None
 
     def __post_init__(self):
-        sel = tuple(int(j) for j in self.selected)
+        sel = tuple(map(operator.index, self.selected))
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ValueError("selected indices must be strictly increasing")
         if sel and sel[0] < 0:
@@ -123,7 +124,7 @@ class Solution:
 
 
 def _check_indices(selected, m: int) -> np.ndarray:
-    idx = np.asarray(sorted(int(j) for j in selected), dtype=np.intp)
+    idx = np.asarray(sorted(map(operator.index, selected)), dtype=np.intp)
     if idx.size != len(set(idx.tolist())):
         raise ValueError("selected indices must be distinct")
     if idx.size and (idx[0] < 0 or idx[-1] >= m):
@@ -344,7 +345,10 @@ class IncrementalEvaluator:
         the sum over zones may differ, so a value can differ from
         ``objectives_with_additions()[j] - f`` by rounding.
         """
-        cols = np.asarray(cols, dtype=np.intp)
+        cols = np.asarray(cols)
+        if cols.size and cols.dtype.kind not in "iu":  # np.asarray([]) is float64, and empty is valid
+            raise TypeError(f"location indices must be integers, got dtype {cols.dtype}")
+        cols = cols.astype(np.intp, copy=False)
         bad = cols[(cols < 0) | (cols >= self.m)]  # numpy would wrap a negative index
         if bad.size:
             raise ValueError(f"location {bad[0]} lies outside [0, {self.m})")

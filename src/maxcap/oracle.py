@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,8 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
     if not np.all(np.isfinite(d)):
         raise ValueError("coefficients must be finite")
     m = d.size
-    inside = tuple(sorted(int(j) for j in incumbent))
+    C, delta = operator.index(C), operator.index(delta)
+    inside = tuple(sorted(map(operator.index, incumbent)))
     if len(set(inside)) != len(inside):
         raise ValueError("incumbent indices must be distinct")
     if len(inside) != C:

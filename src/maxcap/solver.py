@@ -24,6 +24,7 @@ candidates, so recorded phase trajectories are monotone by construction.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +64,9 @@ class SolverConfig:
     algo: str = "ggx"
 
     def __post_init__(self):
-        if self.C < 1:
+        if operator.index(self.C) < 1:
             raise ValueError(f"cardinality C must be >= 1, got {self.C}")
-        if self.delta < 2 or self.delta % 2 != 0:
+        if operator.index(self.delta) < 2 or self.delta % 2 != 0:
             raise ValueError(f"delta must be a positive even integer, got {self.delta}")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive when given")
@@ -204,7 +205,8 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     if np.any(d < 0.0):
         raise ValueError("coefficients must be non-negative")
     m = d.size
-    inside = np.asarray(sorted(int(j) for j in incumbent), dtype=np.intp)
+    C, delta = operator.index(C), operator.index(delta)
+    inside = np.asarray(sorted(map(operator.index, incumbent)), dtype=np.intp)
     if len(set(inside.tolist())) != inside.size:
         raise ValueError("incumbent indices must be distinct")
     if inside.size != C:

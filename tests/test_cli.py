@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from maxcap import PropertyReport
-from maxcap.cli import main
+import maxcap.cli
+from maxcap import (
+    GeneratorParams,
+    MultinomialLogit,
+    PropertyReport,
+    assign_nests,
+    generate_euclidean,
+    greedy,
+)
+from maxcap.cli import DEFAULT_MU, main
 
 
 def run(capsys, *argv):
@@ -247,6 +255,34 @@ class TestBench:
         assert run(capsys, *self.bench_args(a))[0] == 0
         assert run(capsys, *self.bench_args(b, ("--jobs", "4")))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_ggx_run_per_cell_and_cardinality(self, capsys, tmp_path, monkeypatch):
+        real_ggx, algos_run = maxcap.cli.ggx, []
+
+        def counting_ggx(inst, cfg):
+            algos_run.append(cfg.algo)
+            return real_ggx(inst, cfg)
+
+        monkeypatch.setattr(maxcap.cli, "ggx", counting_ggx)
+        out = tmp_path / "once.csv"
+        assert run(capsys, *self.bench_args(out, ("--bf-max", "30")))[0] == 0
+        # 2 models x 2 alphas x 1 beta cells, 2 values of C each; the gh row is ggx's greedy phase
+        assert algos_run == ["ggx"] * 8
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        algos = {}
+        for r in rows:
+            algos.setdefault((r[0], r[3]), []).append(r[7])
+        # comb(8, 2) = 28 admits bf rows at C = 2; comb(8, 3) = 56 does not
+        assert len(algos) == 8
+        assert all(a == (["gh", "ggx", "bf"] if C == "2" else ["gh", "ggx"]) for (_, C), a in algos.items())
+        for r in rows:
+            if r[7] != "gh":
+                continue
+            m, model = int(r[2]), r[6]
+            params = GeneratorParams(zones=int(r[1]), locations=m, alpha=float(r[4]), beta=float(r[5]))
+            built = generate_euclidean(params, MultinomialLogit() if model == "mnl" else
+                                       assign_nests(m, 5, DEFAULT_MU))
+            assert r[8] == f"{greedy(built, int(r[3])).objective:.12f}"
 
     @pytest.mark.parametrize("C", ["0:2", "-1", "0"])
     def test_nonpositive_cardinality_is_usage_error(self, capsys, tmp_path, C):

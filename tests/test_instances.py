@@ -444,6 +444,13 @@ class TestFileFormat:
         with pytest.raises(FormatError, match=r"u\.mcp:2: unsupported model 'probit'$"):
             read_instance(path)
 
+    @pytest.mark.parametrize("model_line", ["model mnl nested 3", "model mnl 7"])
+    def test_extra_tokens_after_model_mnl_rejected(self, tmp_path, model_line):
+        path = tmp_path / "x.mcp"
+        path.write_text(f"MCP 2\n{model_line}\nm 1\nzones 1\nq 1\nY\n3ff0000000000000\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"x\.mcp:2: expected 'model mnl'$"):
+            read_instance(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.mcp"
         path.write_text("MCP 9\nmodel mnl\n", encoding="utf-8")

@@ -50,6 +50,16 @@ class TestMask:
         with pytest.raises(ValueError):
             IncrementalEvaluator(inst).reset({2})
 
+    @pytest.mark.parametrize("selected", [[1.5], [0, 1.0], [np.float64(2.0)]])
+    def test_non_integer_indices_rejected(self, selected):
+        # int() would truncate 1.5 to 1 and price a selection nobody asked for
+        inst = Instance.from_arrays([1.0], [[1.0, 2.0, 3.0]], MultinomialLogit())
+        with pytest.raises(TypeError):
+            objective(inst, selected)
+        with pytest.raises(TypeError):
+            IncrementalEvaluator(inst).reset(selected)
+        assert objective(inst, [np.int64(2)]) == objective(inst, [2])
+
 
 class TestObjective:
     def test_single_zone(self, one_zone):
@@ -270,6 +280,12 @@ class TestSolution:
             Solution((1, 1))
         assert Solution((0, 4), 1.0).selected == (0, 4)
 
+    @pytest.mark.parametrize("selected", [(1.7, 2.2), (1, 2.0), (np.float64(3.0),)])
+    def test_non_integer_indices_rejected(self, selected):
+        with pytest.raises(TypeError):
+            Solution(selected)
+        assert Solution((np.int32(1), np.int64(2))).selected == (1, 2)
+
 
 def _longdouble_objective(inst, selected):
     """f(S) straight from its definition, in extended precision."""
@@ -416,6 +432,15 @@ class TestIncrementalEvaluator:
         fresh.reset([0, 5, 11])
         assert ev.objectives_with_swap(11).tobytes() == fresh.objectives_with_swap(11).tobytes()
         assert ev.gains([1]).tobytes() == fresh.gains([1]).tobytes()
+
+    @pytest.mark.parametrize("cols", [[2.7], [1, 2.0], np.array([3.0])])
+    def test_non_integer_gain_locations_rejected(self, rng, cols):
+        ev = IncrementalEvaluator(dense_random(rng, zones=5, m=6, nested=True))
+        ev.reset([0])
+        with pytest.raises(TypeError, match="location indices must be integers"):
+            ev.gains(cols)
+        assert ev.gains([]).shape == (0,)
+        assert ev.gains(np.array([2], dtype=np.int32)).tobytes() == ev.gains([2]).tobytes()
 
     def test_removal_losses_match_objective(self, rng):
         # the loss f(S) - f(S - j) that _without prices for every swap scan

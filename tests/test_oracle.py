@@ -113,6 +113,13 @@ class TestBruteForceSubproblem:
         d = np.array([5.0, 1.0, 4.0, 2.0])
         assert brute_force_subproblem(d, {0, 1}, 2, 2) == frozenset({0, 2})
 
+    @pytest.mark.parametrize("incumbent, C, delta", [([0.5, 1], 2, 2), ([0, 1], 2.0, 2), ([0, 1], 2, 2.0)])
+    def test_non_integer_arguments_rejected(self, incumbent, C, delta):
+        d = np.array([5.0, 1.0, 4.0, 2.0])
+        with pytest.raises(TypeError):
+            brute_force_subproblem(d, incumbent, C, delta)
+        assert brute_force_subproblem(d, np.array([0, 1]), np.int64(2), 2) == frozenset({0, 2})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("delta", [2, 4])
     def test_non_finite_coefficients_rejected(self, bad, delta):

@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(C=2, time_budget=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"C": 2.5}, {"C": 2.0}, {"C": 2, "delta": 4.0}])
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            SolverConfig(**kwargs)
+        assert SolverConfig(C=np.int64(2), delta=np.int64(4)).effective_delta(m=10) == 4
+
     def test_effective_delta_clamps(self):
         assert SolverConfig(C=3, delta=10).effective_delta(m=20) == 6
         assert SolverConfig(C=18, delta=10).effective_delta(m=20) == 4
@@ -164,6 +170,13 @@ class TestSubproblem:
     def test_single_swap_region(self):
         d = np.array([5.0, 1.0, 4.0, 2.0])
         assert solve_subproblem(d, {0, 1}, 2, 2) == frozenset({0, 2})
+
+    @pytest.mark.parametrize("incumbent, C, delta", [([0.5, 1], 2, 2), ([0, 1], 2.0, 2), ([0, 1], 2, 2.0)])
+    def test_non_integer_arguments_rejected(self, incumbent, C, delta):
+        d = np.array([5.0, 1.0, 4.0, 2.0])
+        with pytest.raises(TypeError):
+            solve_subproblem(d, incumbent, C, delta)
+        assert solve_subproblem(d, np.array([0, 1]), np.int64(2), 2) == frozenset({0, 2})
 
     def test_wider_region_prefers_better_prefix(self):
         d = np.array([5.0, 1.0, 4.0, 2.0])
