@@ -59,14 +59,22 @@ class _Parser(argparse.ArgumentParser):
 
 # Flag converters raise ArgumentTypeError, whose text argparse prints; it
 # reports any other error under the converter's function name instead.
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _positive_even_int(text: str) -> int:
@@ -86,13 +94,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _float_list(text: str):
+def _positive_float_list(text: str):
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty number list {text!r}")
+    if not all(v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"values must be positive, got {text!r}")
     return values
 
 
@@ -133,6 +143,8 @@ def _grid_list(text: str):
             raise argparse.ArgumentTypeError(f"grid cell {piece!r} must look like '50x25'") from None
     if not cells:
         raise argparse.ArgumentTypeError("empty grid")
+    if min(min(cell) for cell in cells) < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {text!r}")
     return cells
 
 
@@ -286,8 +298,6 @@ def _run_cell(cell, args):
     inst = _make_instance(params, model_kind, args.L, args.mu, theta=beta, samples=args.mmnl_K)
     rows = []
     for C in args.C:
-        if C > m:
-            raise ValueError(f"C={C} exceeds m={m} in grid cell {instance_id}")
         t0 = time.perf_counter()
         sol, report = ggx(inst, SolverConfig(C=C, delta=args.delta, time_budget=args.time_budget))
         t1 = time.perf_counter()
@@ -307,6 +317,9 @@ def _run_cell(cell, args):
 
 
 def _cmd_bench(args) -> int:
+    m_min = min(m for _, m in args.grid)
+    if max(args.C) > m_min:
+        raise _UsageError(f"--C {max(args.C)} exceeds the smallest grid m={m_min}")
     cells = itertools.product(args.grid, args.models, range(args.seeds), args.alphas, args.betas)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = [row for chunk in pool.map(lambda cell: _run_cell(cell, args), cells) for row in chunk]
@@ -358,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--plane-side", type=_positive_float, default=30.0)
     gen.add_argument("--model", choices=_MODELS, default="mnl")
     gen.add_argument("--L", type=_positive_int, default=None, help="nest count (nested only)")
-    gen.add_argument("--mu", type=_float_list, default=None, help="nest parameters, comma separated")
+    gen.add_argument("--mu", type=_positive_float_list, default=None, help="nest parameters, comma separated")
     gen.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=None)
     gen.add_argument("--mmnl-theta", dest="mmnl_theta", type=_positive_float, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_non_negative_int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
@@ -380,20 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run randomized property audits")
     check.add_argument("--suite", choices=_SUITES, default="all")
     check.add_argument("--trials", type=_positive_int, required=True)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_non_negative_int, default=0)
     check.add_argument("--instance", default=None)
     check.set_defaults(func=_cmd_check)
 
     bench = sub.add_parser("bench", help="run a benchmark grid and write CSV")
     bench.add_argument("--grid", type=_grid_list, required=True, help="zone x location cells, e.g. 50x25,100x50")
-    bench.add_argument("--alphas", type=_float_list, default=[0.01, 0.1, 1.0])
-    bench.add_argument("--betas", type=_float_list, default=[1.0, 5.0, 10.0])
+    bench.add_argument("--alphas", type=_positive_float_list, default=[0.01, 0.1, 1.0])
+    bench.add_argument("--betas", type=_positive_float_list, default=[1.0, 5.0, 10.0])
     bench.add_argument("--C", type=_int_range, default=list(range(2, 11)))
     bench.add_argument("--models", type=_model_list, default="mnl", help="comma separated subset of mnl,nested,mmnl")
     bench.add_argument("--competitors", type=_positive_int, default=5)
     bench.add_argument("--plane-side", type=_positive_float, default=30.0)
     bench.add_argument("--L", type=_positive_int, default=5)
-    bench.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU))
+    bench.add_argument("--mu", type=_positive_float_list, default=list(DEFAULT_MU))
     bench.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=100)
     bench.add_argument("--delta", type=_positive_even_int, default=4)
     bench.add_argument("--seeds", type=_positive_int, default=1,

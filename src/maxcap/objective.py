@@ -123,12 +123,12 @@ class Solution:
         object.__setattr__(self, "selected", sel)
 
 
-def _check_indices(selected, m: int) -> np.ndarray:
+def _check_indices(selected, m: int, what: str = "selected") -> np.ndarray:
     idx = np.asarray(sorted(map(operator.index, selected)), dtype=np.intp)
     if idx.size != len(set(idx.tolist())):
-        raise ValueError("selected indices must be distinct")
+        raise ValueError(f"{what} indices must be distinct")
     if idx.size and (idx[0] < 0 or idx[-1] >= m):
-        raise ValueError(f"selected indices must lie in [0, {m})")
+        raise ValueError(f"{what} indices must lie in [0, {m})")
     return idx
 
 

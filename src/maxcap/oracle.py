@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import Instance, Solution, objective, objective_gradient, objective_relaxed  # noqa: F401
+from .solver import subproblem_args
 
 __all__ = [
     "PropertyReport",
@@ -126,26 +126,14 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
     i.e. selections that move by at least one swap, matching what the fast
     solver proposes.  Ties are resolved the same way: fewest swaps first,
     then removals of the smallest coefficients (index breaking equal values),
-    then additions of the largest.
+    then additions of the largest.  Arguments are checked by the fast
+    solver's own :func:`~maxcap.solver.subproblem_args`, so both reject the
+    same inputs with the same messages.
     """
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("coefficients must be finite")
-    m = d.size
-    C, delta = operator.index(C), operator.index(delta)
-    inside = tuple(sorted(map(operator.index, incumbent)))
-    if len(set(inside)) != len(inside):
-        raise ValueError("incumbent indices must be distinct")
-    if len(inside) != C:
-        raise ValueError(f"incumbent has {len(inside)} locations, expected C={C}")
-    if inside and (inside[0] < 0 or inside[-1] >= m):
-        raise ValueError(f"incumbent indices must lie in [0, {m})")
-    if delta < 2 or delta % 2 != 0:
-        raise ValueError(f"delta must be a positive even integer, got {delta}")
-    half = delta // 2
-    outside = tuple(j for j in range(m) if j not in set(inside))
-    if half > min(C, m - C):
-        raise ValueError(f"delta/2 = {half} exceeds min(C, m - C) = {min(C, m - C)}")
+    d, inside, half = subproblem_args(d, incumbent, C, delta)
+    m, C = d.size, inside.size
+    inside = tuple(inside.tolist())
+    outside = tuple(sorted(set(range(m)).difference(inside)))
     count = sum(math.comb(C, t) * math.comb(m - C, t) for t in range(1, half + 1))
     if count > ENUMERATION_GUARD:
         raise ValueError(f"refusing to enumerate {count} candidates (guard is {ENUMERATION_GUARD})")
@@ -171,7 +159,10 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
     return best_set
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(trials: int, seed: int) -> np.random.Generator:
+    """The random stream of an audit of ``trials`` trials; at least one trial is required."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     return np.random.default_rng(seed)
 
 
@@ -181,9 +172,7 @@ def check_submodularity(inst: Instance, trials: int, seed: int = 0) -> PropertyR
     Samples (A subset of B, j outside B) uniformly: |B| uniform on [1, m-1],
     B uniform among those sets, A a uniform subset of B, j uniform outside B.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _rng(seed)
+    rng = _rng(trials, seed)
     m = inst.m
     subsets = []
     for _ in range(trials):
@@ -204,9 +193,7 @@ def check_monotonicity(inst: Instance, trials: int, seed: int = 0) -> PropertyRe
     Counts a violation when the gain drops below -slack; locations with zero
     attraction everywhere legitimately gain exactly 0.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _rng(seed)
+    rng = _rng(trials, seed)
     m = inst.m
     subsets = []
     for _ in range(trials):
@@ -225,11 +212,9 @@ def check_gradient(inst: Instance, trials: int, step: float = 1e-5, seed: int = 
     Samples interior points x in [0.1, 0.9]^m; a trial fails when some entry
     differs by more than 1e-5 relative to max(1, |coefficient|).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    rng = _rng(trials, seed)
     if not 0.0 < step <= 0.1:
         raise ValueError(f"step must lie in (0, 0.1], got {step}")
-    rng = _rng(seed)
     m = inst.m
     points = np.array([rng.uniform(0.1, 0.9, m) for _ in range(trials)])
     grads = objective_gradient(inst, points)
@@ -252,9 +237,7 @@ def check_subproblem(trials: int, seed: int = 0) -> PropertyReport:
     """
     from .solver import solve_subproblem  # comparison driver; oracle math stays independent
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _rng(seed)
+    rng = _rng(trials, seed)
     violations, worst = 0, 0.0
     for _ in range(trials):
         m = int(rng.integers(4, 13))
@@ -280,9 +263,7 @@ def check_cpgf_contracts(inst: Instance, trials: int, seed: int = 0) -> Property
     G and its gradient, and choice probabilities that are non-negative and
     sum to 1 within 1e-12 with a strictly positive outside share.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _rng(seed)
+    rng = _rng(trials, seed)
     model, m = inst.model, inst.m
     y, lam = np.empty((trials, m)), np.empty(trials)
     for t in range(trials):

@@ -10,9 +10,10 @@ it only when its objective strictly improves
 phase.  Phase 2's proposal linearizes the binary objective at the
 incumbent's indicator point and maximizes the linear model exactly over the
 region of selections within symmetric difference ``delta`` of the incumbent
-(:func:`solve_subproblem`, O(m * delta / 2) via partial selection of extreme
-coefficients).  Phase 3's proposal is the best single swap, so it runs
-best-improvement swaps to a local optimum.  Both phases share one
+(:func:`solve_subproblem`: one partition per side finds the delta/2 extreme
+coefficients in O(m), and a stable sort orders them).  Phase 3's proposal
+is the best single swap, so it runs best-improvement swaps to a local
+optimum.  Both phases share one
 :class:`~maxcap.objective.IncrementalEvaluator`; greedy keeps its own.
 
 Every tie is broken deterministically (smallest index, then fewest swaps), so
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 # objective is unused here but stays bound, where bench/tracing.py wraps it by name
-from .objective import IncrementalEvaluator, Instance, Solution, improves, objective  # noqa: F401
+from .objective import IncrementalEvaluator, Instance, Solution, _check_indices, improves, objective  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -164,27 +165,36 @@ def _lazy_pick(ev, bound, n_open):
     return int(near[0])
 
 
-def _k_extreme(d: np.ndarray, pool: np.ndarray, k: int, largest: bool) -> np.ndarray:
-    """The k most extreme coefficients of d over pool, ordered for prefix gains.
+def _k_smallest(vals: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
+    """The k entries of an ascending pool with the smallest vals, in (value, index) order."""
+    keep = vals <= np.partition(vals, k - 1)[k - 1]  # the k-th value and all its ties
+    return pool[keep][np.argsort(vals[keep], kind="stable")[:k]]
 
-    Returns indices ordered ascending by d (descending when ``largest``),
-    coefficient ties broken toward the smallest location index.  Uses a
-    partial partition rather than a full sort, so the cost is
-    O(len(pool) + k log k).
+
+def subproblem_args(d, incumbent, C: int, delta: int):
+    """Check the subproblem's arguments; returns (d, sorted incumbent, delta / 2).
+
+    The one argument contract of :func:`solve_subproblem` and its enumerative
+    reference :func:`~maxcap.oracle.brute_force_subproblem`.
     """
-    vals = d[pool]
-    if largest:
-        vals = -vals
-    if k < pool.size:
-        head = np.argpartition(vals, k - 1)[:k]
-        threshold = vals[head].max()
-        strict = pool[vals < threshold]
-        tied = pool[vals == threshold]  # pool is ascending, so ties come smallest-index first
-        take = np.concatenate([strict, tied[: k - strict.size]])
-    else:
-        take = pool
-    keyed = sorted(take.tolist(), key=lambda j: (-d[j] if largest else d[j], j))
-    return np.asarray(keyed, dtype=np.intp)
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ValueError("coefficient vector must be 1-d")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("coefficients must be finite")
+    if np.any(d < 0.0):
+        raise ValueError("coefficients must be non-negative")
+    m = d.size
+    C, delta = operator.index(C), operator.index(delta)
+    inside = _check_indices(incumbent, m, what="incumbent")
+    if inside.size != C:
+        raise ValueError(f"incumbent has {inside.size} locations, expected C={C}")
+    if delta < 2 or delta % 2 != 0:
+        raise ValueError(f"delta must be a positive even integer, got {delta}")
+    half = delta // 2
+    if half > min(C, m - C):
+        raise ValueError(f"delta/2 = {half} exceeds min(C, m - C) = {min(C, m - C)}")
+    return d, inside, half
 
 
 def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
@@ -197,31 +207,10 @@ def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     improves.  Ties: gamma ties go to the smallest t, coefficient ties to the
     smallest index.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        raise ValueError("coefficient vector must be 1-d")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("coefficients must be finite")
-    if np.any(d < 0.0):
-        raise ValueError("coefficients must be non-negative")
-    m = d.size
-    C, delta = operator.index(C), operator.index(delta)
-    inside = np.asarray(sorted(map(operator.index, incumbent)), dtype=np.intp)
-    if len(set(inside.tolist())) != inside.size:
-        raise ValueError("incumbent indices must be distinct")
-    if inside.size != C:
-        raise ValueError(f"incumbent has {inside.size} locations, expected C={C}")
-    if inside.size and (inside[0] < 0 or inside[-1] >= m):
-        raise ValueError(f"incumbent indices must lie in [0, {m})")
-    if delta < 2 or delta % 2 != 0:
-        raise ValueError(f"delta must be a positive even integer, got {delta}")
-    half = delta // 2
-    outside = np.setdiff1d(np.arange(m, dtype=np.intp), inside, assume_unique=True)
-    if half > min(C, m - C):
-        raise ValueError(f"delta/2 = {half} exceeds min(C, m - C) = {min(C, m - C)}")
-
-    drop = _k_extreme(d, inside, half, largest=False)
-    add = _k_extreme(d, outside, half, largest=True)
+    d, inside, half = subproblem_args(d, incumbent, C, delta)
+    outside = np.setdiff1d(np.arange(d.size, dtype=np.intp), inside, assume_unique=True)
+    drop = _k_smallest(d[inside], inside, half)
+    add = _k_smallest(-d[outside], outside, half)  # the largest d, largest first
     # cumulative swap gains in exact rational arithmetic: prefix sums of float
     # coefficients are order-dependent at the last ulp, which would make
     # mathematically tied region sizes compare inconsistently

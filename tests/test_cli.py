@@ -289,6 +289,17 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--grid", "10x6", "--C", C, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--grid", "10x6", "--C", "7"], ["--grid", "0x5"],
+                                       ["--grid", "10x6", "--alphas", "0"], ["--grid", "10x6", "--betas", "-1"]],
+                             ids=["C-above-m", "zero-grid-size", "zero-alpha", "negative-beta"])
+    def test_flag_conflict_is_usage_error_before_any_cell(self, capsys, tmp_path, monkeypatch, flags):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a grid cell was generated")
+
+        monkeypatch.setattr(maxcap.cli, "_make_instance", no_cell)
+        assert run(capsys, "bench", *flags, "--out", str(tmp_path / "x.csv"))[0] == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
         assert run(capsys, "bench", "--grid", ",", "--out", str(tmp_path / "x.csv"))[0] == 1
 
@@ -311,6 +322,9 @@ class TestBench:
      "invalid number list '0.1,low'"),
     (["bench", "--grid", "10x6", "--C", "0:2", "--out", "x.csv"], "values must be >= 1, got '0:2'"),
     (["bench", "--grid", "10by6", "--out", "x.csv"], "grid cell '10by6' must look like '50x25'"),
+    (["generate", "--zones", "5", "--locations", "5", "--seed", "-1", "--out", "x.mcp"],
+     "argument --seed: must be >= 0, got -1"),
+    (["check", "--suite", "monotonicity", "--trials", "2", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
 ])
 def test_converter_message_reaches_stderr(capsys, argv, message):
     code, _, err = run(capsys, *argv)

@@ -239,9 +239,10 @@ class TestChecks:
 
     def test_trial_count_validation(self):
         inst = planar(zones=5, m=4, seed=0)
-        with pytest.raises(ValueError):
-            check_submodularity(inst, 0)
-        with pytest.raises(ValueError):
+        for check in (check_submodularity, check_monotonicity, check_gradient, check_cpgf_contracts):
+            with pytest.raises(ValueError, match="^trials must be >= 1$"):
+                check(inst, 0)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             check_subproblem(0)
 
 

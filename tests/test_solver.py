@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 
@@ -221,18 +222,48 @@ class TestSubproblem:
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             solve_subproblem(np.array([bad, 1.0, 2.0, 3.0]), {0, 1}, 2, delta)
 
+    @pytest.mark.parametrize("solver", [solve_subproblem, brute_force_subproblem])
+    @pytest.mark.parametrize("d, incumbent, C, delta, message", [
+        ([1.0, -0.5, 3.0], {0}, 1, 2, "coefficients must be non-negative"),
+        (np.ones((2, 3)), {0}, 1, 2, "coefficient vector must be 1-d"),
+        ([1.0, 2.0, 3.0], {0}, 1, 3, "delta must be a positive even integer, got 3"),
+        ([1.0, 2.0, 3.0], {0}, 2, 2, "incumbent has 1 locations, expected C=2"),
+        ([1.0, 2.0, 3.0], {5}, 1, 2, "incumbent indices must lie in [0, 3)"),
+        ([1.0, 2.0, 3.0], {0, 1}, 2, 4, "delta/2 = 2 exceeds min(C, m - C) = 1"),
+    ], ids=["negative", "2-d", "odd-delta", "wrong-size", "out-of-range", "region-too-wide"])
+    def test_one_argument_contract(self, solver, d, incumbent, C, delta, message):
+        # the fast solver and its enumerative reference reject the same inputs alike
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solver(d, incumbent, C, delta)
+
+    @staticmethod
+    def draw(rng, kind):
+        """A random subproblem; every kind but "mixed" forces coefficient ties."""
+        m = int(rng.integers(4, 13))
+        C = int(rng.integers(1, m))
+        half = int(rng.integers(1, min(C, m - C) + 1))
+        d = rng.uniform(0, 1, m)
+        if kind != "mixed" or rng.random() < 0.3:
+            d = np.round(d, 1)
+        if kind == "zeros":
+            d[rng.random(m) < 0.5] = 0.0
+        elif kind == "subnormal":
+            d[rng.random(m) < 0.5] = 5e-324
+        elif kind == "large":
+            d = d * 10.0 + rng.choice([1.0, 2.5, 1e6], m)
+        elif kind == "negative-zero":
+            d[rng.random(m) < 0.5] = -0.0
+        incumbent = frozenset(int(j) for j in rng.choice(m, C, replace=False))
+        if kind == "zero-outside":
+            d[[j for j in range(m) if j not in incumbent]] = 0.0
+        return d, incumbent, C, 2 * half
+
     def test_matches_enumeration(self, rng):
-        for _ in range(300):
-            m = int(rng.integers(4, 13))
-            C = int(rng.integers(1, m))
-            half = int(rng.integers(1, min(C, m - C) + 1))
-            d = rng.uniform(0, 1, m)
-            if rng.random() < 0.3:
-                d = np.round(d, 1)
-            incumbent = frozenset(int(j) for j in rng.choice(m, C, replace=False))
-            assert solve_subproblem(d, incumbent, C, 2 * half) == brute_force_subproblem(
-                d, incumbent, C, 2 * half
-            )
+        kinds = ["mixed"] * 300
+        kinds += [k for k in ("zeros", "subnormal", "large", "zero-outside", "negative-zero") for _ in range(60)]
+        for kind in kinds:
+            d, incumbent, C, delta = self.draw(rng, kind)
+            assert solve_subproblem(d, incumbent, C, delta) == brute_force_subproblem(d, incumbent, C, delta)
 
     def test_matches_enumeration_on_every_feasible_region(self, rng):
         # systematic sweep: every (C, delta) combination for small m
