@@ -89,84 +89,88 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
-def _positive_float_list(text: str):
+def _model(text: str) -> str:
+    if text not in _MODELS:
+        raise argparse.ArgumentTypeError(f"choose from {','.join(_MODELS)}, got {text!r}")
+    return text
+
+
+def _grid_cell(text: str):
+    left, _, right = text.partition("x")  # no 'x' leaves right empty, which int() rejects
     try:
-        values = [float(t) for t in text.split(",") if t.strip()]
+        cell = int(left), int(right)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
-    if not all(v > 0 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be positive, got {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"grid cell {text!r} must look like '50x25'") from None
+    if min(cell) < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {text!r}")
+    return cell
+
+
+def _list_of(text: str, convert, what: str):
+    """The comma separated items of ``text``, each through ``convert``; blank items are skipped."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty {what} {text!r}")
+    try:
+        return [convert(t) for t in items]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}: {exc}") from None
+
+
+def _positive_floats(text: str):
+    return _list_of(text, _positive_float, "number list")
 
 
 def _int_range(text: str):
     """Parse '2:10' as an inclusive range, or '2,5,7' / '4' as a list, of values >= 1."""
+    if ":" not in text:
+        return _list_of(text, _positive_int, "integer list")
+    lo, _, hi = text.partition(":")
     try:
-        if ":" in text:
-            lo, _, hi = text.partition(":")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(t) for t in text.split(",") if t.strip()]
+        values = list(range(int(lo), int(hi) + 1))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer range or list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid integer range {text!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError(f"empty range or list {text!r}")
-    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if values[0] < 1:
         raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
     return values
 
 
-def _model_list(text: str):
-    models = [t.strip() for t in text.split(",") if t.strip()]
-    if not models or any(kind not in _MODELS for kind in models):
-        raise argparse.ArgumentTypeError(f"invalid model list {text!r}, choose from {','.join(_MODELS)}")
-    return models
+def _resolve_model_flags(args, models, m_min: int) -> None:
+    """Check ``--mu`` and ``--mmnl-K`` against the chosen ``models`` and the smallest location
+    count ``m_min``, then fill in their defaults; run before any instance is built."""
+    for flag, kind, value in (("--mu", "nested", args.mu), ("--mmnl-K", "mmnl", args.mmnl_K)):
+        if value is not None and kind not in models:
+            raise _UsageError(f"{flag} applies to model {kind} only")
+    args.mu = DEFAULT_MU if args.mu is None else args.mu
+    args.mmnl_K = 100 if args.mmnl_K is None else args.mmnl_K
+    if "nested" in models and min(args.mu) < 1:
+        raise _UsageError(f"--mu values must be >= 1, got {min(args.mu):g}")
+    if "nested" in models and len(args.mu) > m_min:
+        raise _UsageError(f"--mu gives {len(args.mu)} nests, more than the {m_min} locations")
 
 
-def _grid_list(text: str):
-    cells = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        left, _, right = piece.partition("x")  # no 'x' leaves right empty, which int() rejects
-        try:
-            cells.append((int(left), int(right)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"grid cell {piece!r} must look like '50x25'") from None
-    if not cells:
-        raise argparse.ArgumentTypeError("empty grid")
-    if min(min(cell) for cell in cells) < 1:
-        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {text!r}")
-    return cells
-
-
-def _make_instance(params: GeneratorParams, kind: str, n_nests: int, mu, theta: float, samples: int):
-    """Generate one mnl, nested (``n_nests`` nests with parameters ``mu``) or mmnl instance."""
+def _make_instance(params: GeneratorParams, kind: str, mu, theta: float, samples: int):
+    """Generate one mnl, nested (one nest per ``mu`` value) or mmnl instance."""
     if kind == "mmnl":
         return mmnl_expand(params, MmnlParams(theta=theta, samples=samples, seed=params.seed))
-    if kind == "nested":
-        if len(mu) != n_nests:
-            raise _UsageError(f"--mu needs {n_nests} values for L={n_nests}, got {len(mu)}")
-        return generate_euclidean(params, assign_nests(params.locations, n_nests, mu))
-    return generate_euclidean(params, MultinomialLogit())
+    model = assign_nests(params.locations, len(mu), mu) if kind == "nested" else MultinomialLogit()
+    return generate_euclidean(params, model)
 
 
 # -- generate -------------------------------------------------------------------
 
 
 def _cmd_generate(args) -> int:
-    if args.model != "nested" and (args.mu is not None or args.L is not None):
-        raise _UsageError("--L/--mu apply to --model nested only")
-    if args.model != "mmnl" and (args.mmnl_K is not None or args.mmnl_theta is not None):
-        raise _UsageError("--mmnl-K/--mmnl-theta apply to --model mmnl only")
+    if args.model != "mmnl" and args.mmnl_theta is not None:
+        raise _UsageError("--mmnl-theta applies to model mmnl only")
+    _resolve_model_flags(args, [args.model], args.locations)
 
     params = GeneratorParams(
         zones=args.zones,
@@ -177,14 +181,8 @@ def _cmd_generate(args) -> int:
         plane_side=args.plane_side,
         seed=args.seed,
     )
-    inst = _make_instance(
-        params,
-        args.model,
-        n_nests=args.L if args.L is not None else 5,
-        mu=args.mu if args.mu is not None else DEFAULT_MU,
-        theta=args.mmnl_theta if args.mmnl_theta is not None else args.beta,
-        samples=args.mmnl_K if args.mmnl_K is not None else 100,
-    )
+    theta = args.mmnl_theta if args.mmnl_theta is not None else args.beta
+    inst = _make_instance(params, args.model, args.mu, theta, args.mmnl_K)
     write_instance(inst, args.out)
     tag = "mnl" if isinstance(inst.model, MultinomialLogit) else "nested"
     print(f"{args.out}: zones={inst.n_zones} m={inst.m} model={tag} seed={args.seed}")
@@ -249,9 +247,8 @@ def _cmd_solve(args) -> int:
 def _default_check_instances(seed: int):
     # beta = 1 keeps every utility inside the clamp window on the default plane
     params = GeneratorParams(zones=30, locations=15, competitors=5, alpha=0.1, beta=1.0, seed=seed)
-    mnl = generate_euclidean(params, MultinomialLogit())
-    nested = generate_euclidean(params, assign_nests(15, 5, DEFAULT_MU))
-    return [("mnl", mnl), ("nested", nested)]
+    return [(kind, _make_instance(params, kind, DEFAULT_MU, theta=1.0, samples=100))
+            for kind in ("mnl", "nested")]
 
 
 _SUITES = ("submodularity", "monotonicity", "gradient", "subproblem", "euler", "all")
@@ -295,7 +292,7 @@ def _run_cell(cell, args):
         zones=zones, locations=m, competitors=args.competitors,
         alpha=alpha, beta=beta, plane_side=args.plane_side, seed=seed,
     )
-    inst = _make_instance(params, model_kind, args.L, args.mu, theta=beta, samples=args.mmnl_K)
+    inst = _make_instance(params, model_kind, args.mu, theta=beta, samples=args.mmnl_K)
     rows = []
     for C in args.C:
         t0 = time.perf_counter()
@@ -320,6 +317,7 @@ def _cmd_bench(args) -> int:
     m_min = min(m for _, m in args.grid)
     if max(args.C) > m_min:
         raise _UsageError(f"--C {max(args.C)} exceeds the smallest grid m={m_min}")
+    _resolve_model_flags(args, args.models, m_min)
     cells = itertools.product(args.grid, args.models, range(args.seeds), args.alphas, args.betas)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = [row for chunk in pool.map(lambda cell: _run_cell(cell, args), cells) for row in chunk]
@@ -370,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--beta", type=_positive_float, default=1.0)
     gen.add_argument("--plane-side", type=_positive_float, default=30.0)
     gen.add_argument("--model", choices=_MODELS, default="mnl")
-    gen.add_argument("--L", type=_positive_int, default=None, help="nest count (nested only)")
-    gen.add_argument("--mu", type=_positive_float_list, default=None, help="nest parameters, comma separated")
+    gen.add_argument("--mu", type=_positive_floats, default=None, help="one value >= 1 per nest, comma separated")
     gen.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=None)
     gen.add_argument("--mmnl-theta", dest="mmnl_theta", type=_positive_float, default=None)
     gen.add_argument("--seed", type=_non_negative_int, default=0)
@@ -398,21 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=_cmd_check)
 
     bench = sub.add_parser("bench", help="run a benchmark grid and write CSV")
-    bench.add_argument("--grid", type=_grid_list, required=True, help="zone x location cells, e.g. 50x25,100x50")
-    bench.add_argument("--alphas", type=_positive_float_list, default=[0.01, 0.1, 1.0])
-    bench.add_argument("--betas", type=_positive_float_list, default=[1.0, 5.0, 10.0])
+    bench.add_argument("--grid", type=lambda t: _list_of(t, _grid_cell, "grid"), required=True,
+                       help="zone x location cells, e.g. 50x25,100x50")
+    bench.add_argument("--alphas", type=_positive_floats, default=[0.01, 0.1, 1.0])
+    bench.add_argument("--betas", type=_positive_floats, default=[1.0, 5.0, 10.0])
     bench.add_argument("--C", type=_int_range, default=list(range(2, 11)))
-    bench.add_argument("--models", type=_model_list, default="mnl", help="comma separated subset of mnl,nested,mmnl")
+    bench.add_argument("--models", type=lambda t: _list_of(t, _model, "model list"), default="mnl",
+                       help="comma separated subset of mnl,nested,mmnl")
     bench.add_argument("--competitors", type=_positive_int, default=5)
     bench.add_argument("--plane-side", type=_positive_float, default=30.0)
-    bench.add_argument("--L", type=_positive_int, default=5)
-    bench.add_argument("--mu", type=_positive_float_list, default=list(DEFAULT_MU))
-    bench.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=100)
+    bench.add_argument("--mu", type=_positive_floats, default=None, help="one value >= 1 per nest, comma separated")
+    bench.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=None)
     bench.add_argument("--delta", type=_positive_even_int, default=4)
     bench.add_argument("--seeds", type=_positive_int, default=1,
                        help="geometry seeds 0..k-1 per grid cell")
     bench.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET)
-    bench.add_argument("--bf-max", dest="bf_max", type=int, default=0,
+    bench.add_argument("--bf-max", dest="bf_max", type=_non_negative_int, default=0,
                        help="add brute-force rows when comb(m, C) is at most this")
     bench.add_argument("--jobs", type=_positive_int, default=1)
     bench.add_argument("--stamp", action="store_true", help="include timestamps and measured wall times")

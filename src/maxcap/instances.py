@@ -72,8 +72,8 @@ class GeneratorParams:
     def __post_init__(self):
         if self.zones < 1 or self.locations < 1 or self.competitors < 1:
             raise ValueError("zones, locations and competitors must all be >= 1")
-        if not (self.alpha > 0 and self.beta > 0 and self.plane_side > 0):
-            raise ValueError("alpha, beta and plane_side must be positive")
+        if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.plane_side)):
+            raise ValueError("alpha, beta and plane_side must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class MmnlParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
 

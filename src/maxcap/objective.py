@@ -160,7 +160,7 @@ def _per_point(inst: Instance, x, price):
     if x.shape[-1:] != (inst.m,) or x.ndim > 2:
         want = f"({inst.m},)" if x.ndim < 2 else f"(B, {inst.m})"
         raise ValueError(f"x must have shape {want}, got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("relaxation point entries must lie in [0, 1]")
     rows = x.reshape(-1, inst.m)
     step = max(1, _CHUNK_CELLS // inst.Y.size)

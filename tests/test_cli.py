@@ -52,8 +52,7 @@ class TestGenerate:
 
     def test_nested_and_mmnl_variants(self, capsys, tmp_path):
         code, stdout, _ = run(
-            capsys, *gen_args(tmp_path / "n.mcp", **{"--model": "nested",
-                                                     "--L": "5", "--mu": "1.1,1.2,1.3,1.4,1.5"})
+            capsys, *gen_args(tmp_path / "n.mcp", **{"--model": "nested", "--mu": "1.1,1.2,1.3,1.4,1.5"})
         )
         assert code == 0 and "model=nested" in stdout
         code, stdout, _ = run(
@@ -67,12 +66,25 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
-    def test_mu_count_must_match_L(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, *gen_args(tmp_path / "a.mcp", **{"--model": "nested", "--L": "3",
-                                                     "--mu": "1.1,1.2"})
-        )
-        assert code == 1
+    def test_nest_count_is_mu_length(self, capsys, tmp_path):
+        out = tmp_path / "a.mcp"
+        assert run(capsys, *gen_args(out, **{"--model": "nested", "--mu": "1.1,1.2,1.3"}))[0] == 0
+        assert out.read_text().splitlines()[1] == "model nested 3"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"--mu": "0.5"}, "--mu values must be >= 1, got 0.5"),
+        ({"--locations": "4"}, "--mu gives 5 nests, more than the 4 locations"),
+    ], ids=["mu-below-one", "more-nests-than-locations"])
+    def test_nest_flag_problem_is_usage_error_before_generating(self, capsys, tmp_path, monkeypatch,
+                                                                overrides, message):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(maxcap.cli, "_make_instance", no_instance)
+        out = tmp_path / "a.mcp"
+        code, _, err = run(capsys, *gen_args(out, **{"--model": "nested", **overrides}))
+        assert code == 1 and message in err
+        assert not out.exists()
 
     def test_bad_flag_value(self, capsys, tmp_path):
         code, _, _ = run(capsys, *gen_args(tmp_path / "a.mcp", **{"--zones": "0"}))
@@ -289,15 +301,28 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--grid", "10x6", "--C", C, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
-    @pytest.mark.parametrize("flags", [["--grid", "10x6", "--C", "7"], ["--grid", "0x5"],
-                                       ["--grid", "10x6", "--alphas", "0"], ["--grid", "10x6", "--betas", "-1"]],
-                             ids=["C-above-m", "zero-grid-size", "zero-alpha", "negative-beta"])
-    def test_flag_conflict_is_usage_error_before_any_cell(self, capsys, tmp_path, monkeypatch, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "10x6", "--C", "7"], "--C 7 exceeds the smallest grid m=6"),
+        (["--grid", "0x5"], "grid sizes must be >= 1, got '0x5'"),
+        (["--grid", "10x6", "--alphas", "0"], "must be positive"),
+        (["--grid", "10x6", "--betas", "-1"], "must be positive"),
+        (["--grid", "10x6", "--models", "nested", "--mu", "1,1,1,1,1,1,1,1,1", "--C", "2"],
+         "--mu gives 9 nests, more than the 6 locations"),
+        (["--grid", "10x6", "--models", "nested", "--mu", "0.5,1,1,1,1", "--C", "2"],
+         "--mu values must be >= 1, got 0.5"),
+        (["--grid", "10x6", "--models", "mnl", "--mu", "1.1", "--C", "2"], "--mu applies to model nested only"),
+        (["--grid", "10x6", "--mmnl-K", "5", "--C", "2"], "--mmnl-K applies to model mmnl only"),
+        (["--grid", "10x6", "--alphas", "inf"], "must be positive and finite, got inf"),
+        (["--grid", "10x6", "--bf-max", "-1"], "argument --bf-max: must be >= 0, got -1"),
+    ], ids=["C-above-m", "zero-grid-size", "zero-alpha", "negative-beta", "more-nests-than-m",
+            "mu-below-one", "mu-without-nested", "mmnl-K-without-mmnl", "infinite-alpha", "negative-bf-max"])
+    def test_flag_conflict_is_usage_error_before_any_cell(self, capsys, tmp_path, monkeypatch, flags, message):
         def no_cell(*args, **kwargs):
             raise AssertionError("a grid cell was generated")
 
         monkeypatch.setattr(maxcap.cli, "_make_instance", no_cell)
-        assert run(capsys, "bench", *flags, "--out", str(tmp_path / "x.csv"))[0] == 1
+        code, _, err = run(capsys, "bench", *flags, "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and message in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
@@ -325,6 +350,8 @@ class TestBench:
     (["generate", "--zones", "5", "--locations", "5", "--seed", "-1", "--out", "x.mcp"],
      "argument --seed: must be >= 0, got -1"),
     (["check", "--suite", "monotonicity", "--trials", "2", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["generate", "--zones", "5", "--locations", "5", "--plane-side", "inf", "--out", "x.mcp"],
+     "argument --plane-side: must be positive and finite, got inf"),
 ])
 def test_converter_message_reaches_stderr(capsys, argv, message):
     code, _, err = run(capsys, *argv)

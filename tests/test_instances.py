@@ -35,12 +35,17 @@ class TestParams:
             GeneratorParams(zones=5, locations=5, alpha=0.0)
         with pytest.raises(ValueError):
             GeneratorParams(zones=5, locations=5, beta=-1.0)
+        for field in ("alpha", "beta", "plane_side"):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                GeneratorParams(zones=5, locations=5, **{field: np.inf})
 
     def test_mmnl_validation(self):
         with pytest.raises(ValueError):
             MmnlParams(theta=0.0, samples=10)
         with pytest.raises(ValueError):
             MmnlParams(theta=1.0, samples=0)
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            MmnlParams(theta=np.inf, samples=10)
 
 
 class TestGenerate:

@@ -212,7 +212,7 @@ class TestBatched:
                 fn(inst, np.zeros((2, 8)))
             with pytest.raises(ValueError, match=r"^x must have shape \(B, 9\), got \(1, 2, 9\)$"):
                 fn(inst, np.zeros((1, 2, 9)))
-            for bad in (np.full(9, 1.5), np.full((3, 9), 0.5) - np.eye(3, 9)):
+            for bad in (np.full(9, 1.5), np.full((3, 9), 0.5) - np.eye(3, 9), np.full(9, np.nan)):
                 with pytest.raises(ValueError, match=r"^relaxation point entries must lie in \[0, 1\]$"):
                     fn(inst, bad)
 
