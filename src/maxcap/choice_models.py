@@ -9,6 +9,11 @@ attraction 1 follow from ``G`` and its gradient:
     P(location j) = y_j * dG_j(y) / (1 + G(y))
     P(outside)    = 1 / (1 + G(y))
 
+The interface works on batches: :meth:`ChoiceModel.value_rows`,
+:meth:`~ChoiceModel.grad_rows` and :meth:`~ChoiceModel.probabilities_rows`
+price each row of an ``(n, m)`` attraction matrix; a single vector is priced
+as a one-row batch.
+
 Two concrete models are provided: :class:`MultinomialLogit` (``G`` is the
 plain sum) and :class:`NestedLogit` (per-nest power sums with dissimilarity
 parameters ``mu_l >= 1``).  Other models in the family can be added by
@@ -52,35 +57,24 @@ class ChoiceModel(abc.ABC):
 
     @abc.abstractmethod
     def grad_rows(self, y_rows: np.ndarray) -> np.ndarray:
-        """Gradient of G on each row of a (n, m) attraction matrix."""
-
-    def check_dimension(self, m: int) -> None:
-        """Raise ValueError when the model cannot price m locations."""
-
-    def value(self, y: np.ndarray) -> float:
-        """G(y) for a single attraction vector."""
-        return float(self.value_rows(np.atleast_2d(np.asarray(y, dtype=float)))[0])
-
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        """dG/dy_j for a single attraction vector.
+        """dG/dy_j on each row of a (n, m) attraction matrix.
 
         Entries are always non-negative.  At points where a whole nest has
         zero attraction the raw nested-logit formula is indeterminate; the
         implementations return the one-sided directional limit there (see
         :class:`NestedLogit`).
         """
-        return self.grad_rows(np.atleast_2d(np.asarray(y, dtype=float)))[0]
 
-    def probabilities(self, y: np.ndarray) -> np.ndarray:
-        """Choice probabilities, length m + 1; the last entry is the outside option.
-
-        Uses the Euler identity ``sum_j y_j dG_j = G`` so the returned vector
-        sums to one up to rounding.
-        """
-        return self.probabilities_rows(np.atleast_2d(np.asarray(y, dtype=float)))[0]
+    def check_dimension(self, m: int) -> None:
+        """Raise ValueError when the model cannot price m locations."""
 
     def probabilities_rows(self, y_rows: np.ndarray) -> np.ndarray:
-        """:meth:`probabilities` of each row of a (n, m) attraction matrix, shape (n, m + 1)."""
+        """Choice probabilities of each row of a (n, m) attraction matrix, shape (n, m + 1).
+
+        Column j < m is location j and the last column is the outside option.
+        Uses the Euler identity ``sum_j y_j dG_j = G`` so each row sums to one
+        up to rounding.
+        """
         y_rows = np.asarray(y_rows, dtype=float)
         denom = 1.0 + self.value_rows(y_rows)
         p = np.empty((len(y_rows), y_rows.shape[-1] + 1))

@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -127,12 +128,12 @@ def _positive_floats(text: str):
 
 
 def _int_range(text: str):
-    """Parse '2:10' as an inclusive range, or '2,5,7' / '4' as a list, of values >= 1."""
+    """Parse '2:10' as an inclusive ``range``, or '2,5,7' / '4' as a list, of values >= 1."""
     if ":" not in text:
         return _list_of(text, _positive_int, "integer list")
     lo, _, hi = text.partition(":")
     try:
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer range {text!r}") from None
     if not values:
@@ -168,8 +169,6 @@ def _make_instance(params: GeneratorParams, kind: str, mu, theta: float, samples
 
 
 def _cmd_generate(args) -> int:
-    if args.model != "mmnl" and args.mmnl_theta is not None:
-        raise _UsageError("--mmnl-theta applies to model mmnl only")
     _resolve_model_flags(args, [args.model], args.locations)
 
     params = GeneratorParams(
@@ -181,8 +180,7 @@ def _cmd_generate(args) -> int:
         plane_side=args.plane_side,
         seed=args.seed,
     )
-    theta = args.mmnl_theta if args.mmnl_theta is not None else args.beta
-    inst = _make_instance(params, args.model, args.mu, theta, args.mmnl_K)
+    inst = _make_instance(params, args.model, args.mu, theta=args.beta, samples=args.mmnl_K)
     write_instance(inst, args.out)
     tag = "mnl" if isinstance(inst.model, MultinomialLogit) else "nested"
     print(f"{args.out}: zones={inst.n_zones} m={inst.m} model={tag} seed={args.seed}")
@@ -256,6 +254,8 @@ _SUITES = ("submodularity", "monotonicity", "gradient", "subproblem", "euler", "
 
 def _cmd_check(args) -> int:
     wanted = list(_SUITES[:-1]) if args.suite == "all" else [args.suite]
+    if args.instance is not None and args.suite == "subproblem":
+        raise _UsageError("--instance does not apply to suite subproblem")
     if args.instance is not None:
         labelled = [(str(args.instance), read_instance(args.instance))]
     else:
@@ -315,9 +315,13 @@ def _run_cell(cell, args):
 
 def _cmd_bench(args) -> int:
     m_min = min(m for _, m in args.grid)
-    if max(args.C) > m_min:
-        raise _UsageError(f"--C {max(args.C)} exceeds the smallest grid m={m_min}")
+    C_max = args.C[-1] if isinstance(args.C, range) else max(args.C)  # max() would walk a range
+    if C_max > m_min:
+        raise _UsageError(f"--C {C_max} exceeds the smallest grid m={m_min}")
     _resolve_model_flags(args, args.models, m_min)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # found before any cell runs, not after all of them
+        raise FileNotFoundError(f"cannot write {args.out}: no directory {out_dir}")
     cells = itertools.product(args.grid, args.models, range(args.seeds), args.alphas, args.betas)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = [row for chunk in pool.map(lambda cell: _run_cell(cell, args), cells) for row in chunk]
@@ -365,12 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--locations", type=_positive_int, required=True)
     gen.add_argument("--competitors", type=_positive_int, default=5)
     gen.add_argument("--alpha", type=_positive_float, default=0.1)
-    gen.add_argument("--beta", type=_positive_float, default=1.0)
+    gen.add_argument("--beta", type=_positive_float, default=1.0, help="distance sensitivity; theta for mmnl")
     gen.add_argument("--plane-side", type=_positive_float, default=30.0)
     gen.add_argument("--model", choices=_MODELS, default="mnl")
     gen.add_argument("--mu", type=_positive_floats, default=None, help="one value >= 1 per nest, comma separated")
     gen.add_argument("--mmnl-K", dest="mmnl_K", type=_positive_int, default=None)
-    gen.add_argument("--mmnl-theta", dest="mmnl_theta", type=_positive_float, default=None)
     gen.add_argument("--seed", type=_non_negative_int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zone x location cells, e.g. 50x25,100x50")
     bench.add_argument("--alphas", type=_positive_floats, default=[0.01, 0.1, 1.0])
     bench.add_argument("--betas", type=_positive_floats, default=[1.0, 5.0, 10.0])
-    bench.add_argument("--C", type=_int_range, default=list(range(2, 11)))
+    bench.add_argument("--C", type=_int_range, default=range(2, 11))
     bench.add_argument("--models", type=lambda t: _list_of(t, _model, "model list"), default="mnl",
                        help="comma separated subset of mnl,nested,mmnl")
     bench.add_argument("--competitors", type=_positive_int, default=5)

@@ -156,9 +156,9 @@ def criterion_7(workdir):
         y = rng.uniform(0.0, 5.0, 12)
         worst = max(
             worst,
-            abs(unit.value(y) - mnl.value(y)),
-            float(np.abs(unit.grad(y) - mnl.grad(y)).max()),
-            float(np.abs(unit.probabilities(y) - mnl.probabilities(y)).max()),
+            float(np.abs(unit.value_rows([y]) - mnl.value_rows([y])).max()),
+            float(np.abs(unit.grad_rows([y]) - mnl.grad_rows([y])).max()),
+            float(np.abs(unit.probabilities_rows([y]) - mnl.probabilities_rows([y])).max()),
         )
     ok = all(r.passed for r in reports) and worst <= 1e-12
     artifact = "\n".join(str(r) for r in reports) + f"\nunit-mu-gap={worst:.3e}"

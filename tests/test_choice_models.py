@@ -30,69 +30,72 @@ def any_model(data, m):
 class TestValues:
     def test_mnl_is_plain_sum(self):
         mnl = MultinomialLogit()
-        assert mnl.value([1.0, 2.0, 3.0]) == 6.0
-        assert mnl.value([0.0, 0.0, 0.0]) == 0.0
+        assert mnl.value_rows([[1.0, 2.0, 3.0]])[0] == 6.0
+        assert mnl.value_rows([[0.0, 0.0, 0.0]])[0] == 0.0
 
     def test_single_nest_mu2(self):
         model = NestedLogit([0, 0], [2.0])
-        assert model.value([1.0, 1.0]) == pytest.approx(SQRT2, abs=1e-12)
+        assert model.value_rows([[1.0, 1.0]])[0] == pytest.approx(SQRT2, abs=1e-12)
 
     def test_empty_nest_contributes_zero(self):
         model = NestedLogit([0, 0, 1], [2.0, 1.5])
-        assert model.value([0.0, 0.0, 2.0]) == pytest.approx(2.0, abs=1e-12)
+        assert model.value_rows([[0.0, 0.0, 2.0]])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestGradients:
     def test_mnl_gradient_is_ones(self):
-        assert MultinomialLogit().grad([5.0, 7.0]).tolist() == [1.0, 1.0]
+        assert MultinomialLogit().grad_rows([[5.0, 7.0]])[0].tolist() == [1.0, 1.0]
 
     def test_single_nest_mu2(self):
-        g = NestedLogit([0, 0], [2.0]).grad([1.0, 1.0])
+        g = NestedLogit([0, 0], [2.0]).grad_rows([[1.0, 1.0]])[0]
         assert g == pytest.approx([1 / SQRT2, 1 / SQRT2], abs=1e-12)
 
     def test_zero_nest_directional_limit(self):
         model = NestedLogit([0, 0], [2.0])
-        assert model.grad([0.0, 0.0]).tolist() == [1.0, 1.0]
+        assert model.grad_rows([[0.0, 0.0]])[0].tolist() == [1.0, 1.0]
         # the convention matches the growth rate along each axis ray
         for t in (1e-6, 1e-9):
-            assert model.value([t, 0.0]) / t == pytest.approx(1.0, rel=1e-9)
+            assert model.value_rows([[t, 0.0]])[0] / t == pytest.approx(1.0, rel=1e-9)
 
     def test_member_with_zero_attraction_in_live_nest(self):
-        g = NestedLogit([0, 0], [2.0]).grad([0.0, 3.0])
+        g = NestedLogit([0, 0], [2.0]).grad_rows([[0.0, 3.0]])[0]
         assert g[0] == 0.0 and g[1] == pytest.approx(1.0)
 
 
 class TestProbabilities:
     def test_mnl_symmetric(self):
-        p = MultinomialLogit().probabilities([1.0, 1.0])
+        p = MultinomialLogit().probabilities_rows([[1.0, 1.0]])[0]
         assert p == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
 
     def test_no_open_locations(self):
-        assert MultinomialLogit().probabilities([0.0, 0.0]).tolist() == [0.0, 0.0, 1.0]
+        assert MultinomialLogit().probabilities_rows([[0.0, 0.0]])[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_single_nest_mu2(self):
-        p = NestedLogit([0, 0], [2.0]).probabilities([1.0, 1.0])
+        p = NestedLogit([0, 0], [2.0]).probabilities_rows([[1.0, 1.0]])[0]
         outside = 1.0 / (1.0 + SQRT2)
         inside = SQRT2 / (2.0 * (1.0 + SQRT2))
         assert p == pytest.approx([inside, inside, outside], abs=1e-12)
 
-    @pytest.mark.parametrize("model", [MultinomialLogit(), NestedLogit([0, 1, 0, 1, 2], [1.0, 1.3, 2.0])])
-    def test_rows_equal_single_vectors(self, model):
-        y = np.random.default_rng(5).uniform(0.0, 3.0, (9, 5))
-        y[::4, :2] = 0.0  # an empty nest
-        rows = model.probabilities_rows(y)
-        assert rows.shape == (9, 6)
-        assert rows.tobytes() == np.array([model.probabilities(v) for v in y]).tobytes()
+
+@pytest.mark.parametrize("model", [MultinomialLogit(), NestedLogit([0, 0, 1, 1, 2], [1.0, 1.3, 2.0])],
+                         ids=["mnl", "nested"])
+def test_rows_equal_one_row_batches(model):
+    y = np.random.default_rng(5).uniform(0.0, 3.0, (9, 5))
+    y[::4, 2:4] = 0.0  # nest 1 (mu 1.3) is empty in these rows
+    assert model.probabilities_rows(y).shape == (9, 6)
+    for method in (model.value_rows, model.grad_rows, model.probabilities_rows):
+        one_row_batches = np.concatenate([method(y[i:i + 1]) for i in range(len(y))])
+        assert method(y).tobytes() == one_row_batches.tobytes()
 
 
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            NestedLogit([0, 0], [1.5]).value([1.0, 2.0, 3.0])
+            NestedLogit([0, 0], [1.5]).value_rows([[1.0, 2.0, 3.0]])
 
     def test_negative_attraction(self):
         with pytest.raises(ValueError):
-            MultinomialLogit().value([1.0, -0.5])
+            MultinomialLogit().value_rows([[1.0, -0.5]])
 
     def test_mu_below_one(self):
         with pytest.raises(ValueError):
@@ -119,8 +122,8 @@ def test_homogeneity_degree_one(data, m):
     model = any_model(data, m)
     y = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
     lam = data.draw(st.floats(0.01, 100.0))
-    g = model.value(y)
-    assert abs(model.value(lam * y) - lam * g) <= 1e-9 * max(1.0, lam * g)
+    g = model.value_rows([y])[0]
+    assert abs(model.value_rows([lam * y])[0] - lam * g) <= 1e-9 * max(1.0, lam * g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,8 +131,8 @@ def test_homogeneity_degree_one(data, m):
 def test_euler_identity(data, m):
     model = any_model(data, m)
     y = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
-    g = model.value(y)
-    assert abs(g - float((y * model.grad(y)).sum())) <= 1e-9 * max(1.0, g)
+    g = model.value_rows([y])[0]
+    assert abs(g - float((y * model.grad_rows([y])[0]).sum())) <= 1e-9 * max(1.0, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,8 +140,8 @@ def test_euler_identity(data, m):
 def test_value_and_gradient_nonnegative(data, m):
     model = any_model(data, m)
     y = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
-    assert model.value(y) >= 0.0
-    assert np.all(model.grad(y) >= 0.0)
+    assert model.value_rows([y])[0] >= 0.0
+    assert np.all(model.grad_rows([y])[0] >= 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,7 +151,7 @@ def test_gradient_zero_homogeneity(data, m):
     model = any_model(data, m)
     y = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=m, max_size=m)))
     lam = data.draw(st.floats(0.01, 100.0))
-    g0, g1 = model.grad(y), model.grad(lam * y)
+    g0, g1 = model.grad_rows([y])[0], model.grad_rows([lam * y])[0]
     assert np.all(np.abs(g1 - g0) <= 1e-9 * np.maximum(1.0, np.abs(g0)))
 
 
@@ -157,7 +160,7 @@ def test_gradient_zero_homogeneity(data, m):
 def test_probabilities_normalize(data, m):
     model = any_model(data, m)
     y = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)))
-    p = model.probabilities(y)
+    p = model.probabilities_rows([y])[0]
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.all(p >= 0.0) and p[-1] > 0.0
 
@@ -175,12 +178,12 @@ def test_gradient_matches_finite_differences(rng):
         else:
             model = MultinomialLogit()
         y = rng.uniform(0.1, 5.0, m)
-        grad = model.grad(y)
+        grad = model.grad_rows([y])[0]
         for j in range(m):
             hi, lo = y.copy(), y.copy()
             hi[j] += step
             lo[j] -= step
-            fd = (model.value(hi) - model.value(lo)) / (2 * step)
+            fd = (model.value_rows([hi])[0] - model.value_rows([lo])[0]) / (2 * step)
             assert abs(fd - grad[j]) <= 1e-6 * max(1e-8, abs(grad[j]))
 
 
@@ -190,6 +193,6 @@ def test_nested_with_unit_mu_equals_mnl(rng):
     mnl = MultinomialLogit()
     for _ in range(50):
         y = rng.uniform(0.0, 5.0, m)
-        assert abs(nested.value(y) - mnl.value(y)) <= 1e-12
-        assert np.all(np.abs(nested.grad(y) - mnl.grad(y)) <= 1e-12)
-        assert np.all(np.abs(nested.probabilities(y) - mnl.probabilities(y)) <= 1e-12)
+        assert abs(nested.value_rows([y])[0] - mnl.value_rows([y])[0]) <= 1e-12
+        assert np.all(np.abs(nested.grad_rows([y])[0] - mnl.grad_rows([y])[0]) <= 1e-12)
+        assert np.all(np.abs(nested.probabilities_rows([y])[0] - mnl.probabilities_rows([y])[0]) <= 1e-12)

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,14 @@ import pytest
 import maxcap.cli
 from maxcap import (
     GeneratorParams,
+    MmnlParams,
     MultinomialLogit,
     PropertyReport,
     assign_nests,
     generate_euclidean,
     greedy,
+    mmnl_expand,
+    write_instance,
 )
 from maxcap.cli import DEFAULT_MU, main
 
@@ -56,10 +60,19 @@ class TestGenerate:
         )
         assert code == 0 and "model=nested" in stdout
         code, stdout, _ = run(
-            capsys, *gen_args(tmp_path / "x.mcp", **{"--model": "mmnl",
-                                                     "--mmnl-K": "10", "--mmnl-theta": "1"})
+            capsys, *gen_args(tmp_path / "x.mcp", **{"--model": "mmnl", "--mmnl-K": "10"})
         )
         assert code == 0 and "zones=200" in stdout
+
+    def test_beta_is_mmnl_theta(self, capsys, tmp_path):
+        out, ref = tmp_path / "x.mcp", tmp_path / "ref.mcp"
+        argv = gen_args(out, **{"--model": "mmnl", "--mmnl-K": "10", "--beta": "3"})
+        assert run(capsys, *argv)[0] == 0
+        params = GeneratorParams(zones=20, locations=10, competitors=5, alpha=0.1, beta=3.0, seed=1)
+        write_instance(mmnl_expand(params, MmnlParams(theta=3.0, samples=10, seed=1)), ref)
+        assert out.read_bytes() == ref.read_bytes()
+        code, _, err = run(capsys, *argv, "--mmnl-theta", "3")
+        assert code == 1 and "unrecognized arguments: --mmnl-theta" in err
 
     def test_mu_without_nested_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, *gen_args(tmp_path / "a.mcp", **{"--mu": "1.1,1.2"}))
@@ -207,6 +220,12 @@ class TestCheck:
             code, stdout, _ = run(capsys, *case["argv"].replace("{instance}", path).split())
             assert (code, stdout.replace(path, "{instance}")) == (case["code"], case["stdout"])
 
+    def test_instance_with_subproblem_suite_is_usage_error(self, capsys, tmp_path):
+        # the subproblem suite builds its own cases, so the file is not read
+        code, _, err = run(capsys, "check", "--suite", "subproblem", "--trials", "2",
+                           "--instance", str(tmp_path / "missing.mcp"))
+        assert code == 1 and "--instance does not apply to suite subproblem" in err
+
     def test_zero_trials_is_usage_error(self, capsys):
         assert run(capsys, "check", "--suite", "all", "--trials", "0")[0] == 1
 
@@ -303,6 +322,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flags, message", [
         (["--grid", "10x6", "--C", "7"], "--C 7 exceeds the smallest grid m=6"),
+        (["--grid", "10x6", "--C", "1:1000000"], "--C 1000000 exceeds the smallest grid m=6"),
         (["--grid", "0x5"], "grid sizes must be >= 1, got '0x5'"),
         (["--grid", "10x6", "--alphas", "0"], "must be positive"),
         (["--grid", "10x6", "--betas", "-1"], "must be positive"),
@@ -314,16 +334,22 @@ class TestBench:
         (["--grid", "10x6", "--mmnl-K", "5", "--C", "2"], "--mmnl-K applies to model mmnl only"),
         (["--grid", "10x6", "--alphas", "inf"], "must be positive and finite, got inf"),
         (["--grid", "10x6", "--bf-max", "-1"], "argument --bf-max: must be >= 0, got -1"),
-    ], ids=["C-above-m", "zero-grid-size", "zero-alpha", "negative-beta", "more-nests-than-m",
-            "mu-below-one", "mu-without-nested", "mmnl-K-without-mmnl", "infinite-alpha", "negative-bf-max"])
+    ], ids=["C-above-m", "C-range-above-m", "zero-grid-size", "zero-alpha", "negative-beta",
+            "more-nests-than-m", "mu-below-one", "mu-without-nested", "mmnl-K-without-mmnl", "infinite-alpha", "negative-bf-max"])
     def test_flag_conflict_is_usage_error_before_any_cell(self, capsys, tmp_path, monkeypatch, flags, message):
         def no_cell(*args, **kwargs):
             raise AssertionError("a grid cell was generated")
 
         monkeypatch.setattr(maxcap.cli, "_make_instance", no_cell)
-        code, _, err = run(capsys, "bench", *flags, "--out", str(tmp_path / "x.csv"))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "bench", *flags, "--out", str(tmp_path / "x.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 1 and message in err
         assert not (tmp_path / "x.csv").exists()
+        assert peak < 1 << 20  # a range flag is checked by its ends, never expanded
 
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
         assert run(capsys, "bench", "--grid", ",", "--out", str(tmp_path / "x.csv"))[0] == 1
@@ -333,10 +359,18 @@ class TestBench:
                          "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
-    def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "bench", "--grid", "10x6", "--betas", "1", "--alphas", "0.1",
-                         "--C", "2", "--out", str(tmp_path / "missing" / "x.csv"))
-        assert code == 2
+    def test_unwritable_output_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        def failing_cell(*args, **kwargs):
+            raise ValueError("a grid cell was generated")
+
+        monkeypatch.setattr(maxcap.cli, "_make_instance", failing_cell)
+        argv = ["bench", "--grid", "10x6", "--betas", "1", "--alphas", "0.1", "--C", "2", "--out"]
+        code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and "a grid cell was generated" not in err  # found before any cell
+        # a cell that fails leaves no file behind
+        code, _, err = run(capsys, *argv, str(tmp_path / "x.csv"))
+        assert code == 2 and "a grid cell was generated" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -105,8 +105,8 @@ class TestScalingInvariance:
         for _ in range(50):
             y = rng.uniform(0.0, 4.0, m)
             u = float(rng.uniform(0.2, 8.0))
-            p = model.probabilities(y / u)
-            direct = y * model.grad(y) / (u + model.value(y))
+            p = model.probabilities_rows([y / u])[0]
+            direct = y * model.grad_rows([y])[0] / (u + model.value_rows([y])[0])
             assert np.all(np.abs(p[:-1] - direct) <= 1e-12)
 
 
@@ -169,8 +169,8 @@ class TestAssignNests:
         model = assign_nests(6, 1, [1.0])
         mnl = MultinomialLogit()
         y = rng.uniform(0, 3, 6)
-        assert model.value(y) == pytest.approx(mnl.value(y), abs=1e-15)
-        assert np.allclose(model.grad(y), mnl.grad(y), atol=1e-15)
+        assert model.value_rows([y])[0] == pytest.approx(mnl.value_rows([y])[0], abs=1e-15)
+        assert np.allclose(model.grad_rows([y])[0], mnl.grad_rows([y])[0], atol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
