@@ -115,10 +115,13 @@ class NestedLogit(ChoiceModel):
     """
 
     def __init__(self, nest_of, mu):
-        nest_of = np.asarray(nest_of, dtype=np.intp)
+        nest_of = np.asarray(nest_of)
         mu = np.asarray(mu, dtype=float)
         if nest_of.ndim != 1 or nest_of.size == 0:
             raise ValueError("nest_of must be a non-empty 1-d integer array")
+        if nest_of.dtype.kind not in "iu":  # checked after the size: np.asarray([]) is float
+            raise TypeError(f"nest indices must be integers, got dtype {nest_of.dtype}")
+        nest_of = nest_of.astype(np.intp, copy=False)  # a uint64 above intp's range wraps negative: rejected below
         if mu.ndim != 1 or mu.size == 0:
             raise ValueError("mu must be a non-empty 1-d array")
         L = mu.size

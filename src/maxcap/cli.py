@@ -320,8 +320,8 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"--C {C_max} exceeds the smallest grid m={m_min}")
     _resolve_model_flags(args, args.models, m_min)
     out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # found before any cell runs, not after all of them
-        raise FileNotFoundError(f"cannot write {args.out}: no directory {out_dir}")
+    if not os.path.isdir(out_dir) or os.path.isdir(args.out):  # found before any cell runs, not after all
+        raise OSError(f"cannot write {args.out}: it must name a file in an existing directory")
     cells = itertools.product(args.grid, args.models, range(args.seeds), args.alphas, args.betas)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = [row for chunk in pool.map(lambda cell: _run_cell(cell, args), cells) for row in chunk]

@@ -51,6 +51,7 @@ __all__ = [
 # an absolute 1e-12 is below f's rounding unit (about 2.2e-16 * f) once f
 # exceeds about 4500, where it would no longer separate moves from rounding.
 IMPROVEMENT_EPS = 1e-12
+_INTEGERS = (int, np.integer)  # the types of a location index, bool aside
 
 
 def improves(f_new: float, f_old: float) -> bool:
@@ -124,18 +125,17 @@ class Solution:
 
 
 def _check_indices(selected, m: int, what: str = "selected") -> np.ndarray:
-    idx = np.asarray(sorted(map(operator.index, selected)), dtype=np.intp)
-    if idx.size != len(set(idx.tolist())):
+    """The one check of location indices, returned in the caller's order: TypeError for
+    a non-integer (``bool`` included), ValueError for one outside ``[0, m)`` or repeated."""
+    idx = selected.tolist() if isinstance(selected, np.ndarray) else list(selected)  # Python scalars compare fastest
+    for j in idx:
+        if type(j) is bool or not isinstance(j, _INTEGERS):
+            raise TypeError(f"{what} indices must be integers, got {j!r}")
+        if not 0 <= j < m:
+            raise ValueError(f"{what} index {j} lies outside [0, {m})")
+    if len(set(idx)) != len(idx):
         raise ValueError(f"{what} indices must be distinct")
-    if idx.size and (idx[0] < 0 or idx[-1] >= m):
-        raise ValueError(f"{what} indices must lie in [0, {m})")
-    return idx
-
-
-def _indicator(selected, m: int) -> np.ndarray:
-    x = np.zeros(m)
-    x[_check_indices(selected, m)] = 1.0
-    return x
+    return np.array(idx, dtype=np.intp)
 
 
 def _captured(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -191,7 +191,9 @@ def _gradients(inst: Instance, rows: np.ndarray) -> np.ndarray:
 
 def objective(inst: Instance, selected) -> float:
     """Captured demand f(S); f(empty set) is exactly 0."""
-    return objective_relaxed(inst, _indicator(selected, inst.m))
+    x = np.zeros(inst.m)
+    x[_check_indices(selected, inst.m)] = 1.0
+    return objective_relaxed(inst, x)
 
 
 def objective_relaxed(inst: Instance, x: np.ndarray) -> float | np.ndarray:
@@ -345,13 +347,7 @@ class IncrementalEvaluator:
         the sum over zones may differ, so a value can differ from
         ``objectives_with_additions()[j] - f`` by rounding.
         """
-        cols = np.asarray(cols)
-        if cols.size and cols.dtype.kind not in "iu":  # np.asarray([]) is float64, and empty is valid
-            raise TypeError(f"location indices must be integers, got dtype {cols.dtype}")
-        cols = cols.astype(np.intp, copy=False)
-        bad = cols[(cols < 0) | (cols >= self.m)]  # numpy would wrap a negative index
-        if bad.size:
-            raise ValueError(f"location {bad[0]} lies outside [0, {self.m})")
+        cols = _check_indices(cols, self.m, "location")
         if np.any(self._in[cols]):
             raise ValueError("gains are priced for unselected locations only")
         gains = np.empty(cols.size)
@@ -371,8 +367,7 @@ class IncrementalEvaluator:
 
     def objectives_with_swap(self, j_out: int) -> np.ndarray:
         """f(S - j_out + t) for every t outside S; -inf at selected entries."""
-        if not 0 <= j_out < self.m:
-            raise ValueError(f"location {j_out} lies outside [0, {self.m})")
+        (j_out,) = _check_indices((j_out,), self.m, "location")
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
         lo, sums, roots, g_base, loss = self._without(j_out)

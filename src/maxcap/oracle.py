@@ -13,8 +13,10 @@ monotonicity checks as indicator rows of one :func:`objective_relaxed` call,
 the gradient check's points in one :func:`objective_gradient` call and each
 trial's ``2m`` central-difference points in one more, and the contract
 check's vectors through the model's ``*_rows`` methods.  A batched value is
-bit for bit the single-point one, so batching changes no report, and a
-batch is evaluated in chunks of rows, which keeps memory bounded.
+bit for bit the single-point one, so batching changes no report.  A batch
+is priced in chunks of rows, which bounds the pricing temporaries; the drawn
+trials themselves are all held at once, so an audit's memory grows with its
+trial count.
 ``objective``, ``objective_relaxed`` and ``objective_gradient`` stay bound
 in this module, where ``bench/tracing.py`` wraps them by name.
 """
@@ -46,6 +48,7 @@ ENUMERATION_GUARD = 10**7
 _SUBSETS_PER_CALL = 4096
 # absolute slack separating rounding noise from real structural violations
 VIOLATION_SLACK = 1e-10
+_FD_STEP = 1e-5  # check_gradient's central-difference step
 
 
 @dataclass(frozen=True)
@@ -206,23 +209,21 @@ def check_monotonicity(inst: Instance, trials: int, seed: int = 0) -> PropertyRe
     return _report("monotonicity", -(f[:, 0] - f[:, 1]), VIOLATION_SLACK, seed)
 
 
-def check_gradient(inst: Instance, trials: int, step: float = 1e-5, seed: int = 0) -> PropertyReport:
+def check_gradient(inst: Instance, trials: int, seed: int = 0) -> PropertyReport:
     """Central finite differences of the relaxed objective against its gradient.
 
     Samples interior points x in [0.1, 0.9]^m; a trial fails when some entry
     differs by more than 1e-5 relative to max(1, |coefficient|).
     """
     rng = _rng(trials, seed)
-    if not 0.0 < step <= 0.1:
-        raise ValueError(f"step must lie in (0, 0.1], got {step}")
     m = inst.m
     points = np.array([rng.uniform(0.1, 0.9, m) for _ in range(trials)])
     grads = objective_gradient(inst, points)
-    steps = step * np.eye(m)  # row j moves entry j alone, by exactly step
+    steps = _FD_STEP * np.eye(m)  # row j moves entry j alone, by exactly the step
     errs = np.empty(trials)
     for t, (x, grad) in enumerate(zip(points, grads)):
         f = objective_relaxed(inst, np.concatenate([x + steps, x - steps]))
-        fd = (f[:m] - f[m:]) / (2.0 * step)
+        fd = (f[:m] - f[m:]) / (2.0 * _FD_STEP)
         errs[t] = (np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))).max()
     return _report("gradient", errs, 1e-5, seed)
 

@@ -18,7 +18,8 @@ optimum.  Both phases share one
 
 Every tie is broken deterministically (smallest index, then fewest swaps), so
 a run is a pure function of (instance, config) whenever no time budget is
-hit.  Every reported objective is the evaluator's from-scratch value of its
+hit, on one BLAS build with one thread count: the evaluator ranks moves
+through matrix-vector products, whose last bits can depend on both.  Every reported objective is the evaluator's from-scratch value of its
 selection, right after ``reset``; incremental move prices only rank
 candidates, so recorded phase trajectories are monotone by construction.
 """
@@ -129,7 +130,7 @@ def greedy(inst: Instance, C: int) -> Solution:
     what the eager argmax over ``f + gains`` picks, ties included.
     """
     if C < 1 or C > inst.m:
-        raise ValueError(f"cardinality must satisfy 1 <= C <= {inst.m}, got {C}")
+        raise ValueError(f"cardinality C={C} is below 1 or exceeds m={inst.m}")
     ev = IncrementalEvaluator(inst)
     bound = ev.objectives_with_additions()  # f(empty) = 0, so these are the first gains exactly
     chosen = [int(np.argmax(bound))]  # argmax returns the first maximum: smallest index
@@ -186,7 +187,7 @@ def subproblem_args(d, incumbent, C: int, delta: int):
         raise ValueError("coefficients must be non-negative")
     m = d.size
     C, delta = operator.index(C), operator.index(delta)
-    inside = _check_indices(incumbent, m, what="incumbent")
+    inside = np.sort(_check_indices(incumbent, m, what="incumbent"))
     if inside.size != C:
         raise ValueError(f"incumbent has {inside.size} locations, expected C={C}")
     if delta < 2 or delta % 2 != 0:
@@ -280,8 +281,6 @@ def ggx(inst: Instance, cfg: SolverConfig):
     between iterations.  Each phase's wall time runs from the end of the
     previous one, so phase 2's includes building the shared evaluator.
     """
-    if cfg.C > inst.m:
-        raise ValueError(f"cardinality C={cfg.C} exceeds m={inst.m}")
     deadline = _Deadline(cfg.time_budget)
     t0 = time.perf_counter()
     # greedy is looked up at call time, so a wrapper installed on the module sees it

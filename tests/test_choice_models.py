@@ -115,6 +115,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NestedLogit([0, 3], [1.2, 1.3])
 
+    @pytest.mark.parametrize("nest_of", [[0.5, 1.7, 1.2], np.array([0.0, 1.0, 1.0]), [False, True, True]])
+    def test_non_integer_nest_indices_rejected(self, nest_of):
+        # a cast would truncate [0.5, 1.7, 1.2] to nests [0, 1, 1]
+        with pytest.raises(TypeError, match="^nest indices must be integers, got dtype (float64|bool)$"):
+            NestedLogit(nest_of, [1.5, 2.0])
+        with pytest.raises(ValueError, match="^nest_of must be a non-empty 1-d integer array$"):
+            NestedLogit([], [1.5])
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 10))

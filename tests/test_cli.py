@@ -367,6 +367,8 @@ class TestBench:
         argv = ["bench", "--grid", "10x6", "--betas", "1", "--alphas", "0.1", "--C", "2", "--out"]
         code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "x.csv"))
         assert code == 2 and "a grid cell was generated" not in err  # found before any cell
+        code, _, err = run(capsys, *argv, str(tmp_path))  # an existing directory
+        assert code == 2 and "a grid cell was generated" not in err
         # a cell that fails leaves no file behind
         code, _, err = run(capsys, *argv, str(tmp_path / "x.csv"))
         assert code == 2 and "a grid cell was generated" in err

@@ -1,4 +1,5 @@
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,12 @@ from maxcap import (
     NestedLogit,
     Solution,
     SolverConfig,
+    brute_force_subproblem,
     ggx,
     objective,
     objective_gradient,
     objective_relaxed,
+    solve_subproblem,
 )
 from conftest import dense_random, planar
 
@@ -424,9 +427,9 @@ class TestIncrementalEvaluator:
         inst = dense_random(rng, zones=30, m=12, nested=True)
         ev = IncrementalEvaluator(inst)
         ev.reset([0, 5, 11])
-        with pytest.raises(ValueError, match=f"location {bad} lies outside"):
+        with pytest.raises(ValueError, match=rf"^location index {bad} lies outside \[0, 12\)$"):
             ev.objectives_with_swap(bad)
-        with pytest.raises(ValueError, match=f"location {bad} lies outside"):
+        with pytest.raises(ValueError, match=rf"^location index {bad} lies outside \[0, 12\)$"):
             ev.gains([1, bad])
         fresh = IncrementalEvaluator(inst)
         fresh.reset([0, 5, 11])
@@ -437,7 +440,8 @@ class TestIncrementalEvaluator:
     def test_non_integer_gain_locations_rejected(self, rng, cols):
         ev = IncrementalEvaluator(dense_random(rng, zones=5, m=6, nested=True))
         ev.reset([0])
-        with pytest.raises(TypeError, match="location indices must be integers"):
+        bad = repr(np.asarray(cols).tolist()[-1])  # 2.7, 2.0 and 3.0
+        with pytest.raises(TypeError, match=f"^location indices must be integers, got {re.escape(bad)}$"):
             ev.gains(cols)
         assert ev.gains([]).shape == (0,)
         assert ev.gains(np.array([2], dtype=np.int32)).tobytes() == ev.gains([2]).tobytes()
@@ -525,3 +529,37 @@ class TestNumericDomain:
     def test_overflowing_value_is_rejected(self, q, Y, model):
         with pytest.raises(ValueError, match="overflow"):
             Instance.from_arrays(q, Y, model)
+
+
+# Every entry point that reads location indices, called with a list of them;
+# objectives_with_swap reads one and gets the list's element.
+INDEX_ENTRY_POINTS = {
+    "reset": lambda inst, idx: IncrementalEvaluator(inst).reset(idx),
+    "gains": lambda inst, idx: IncrementalEvaluator(inst).gains(idx),
+    "objectives_with_swap": lambda inst, idx: IncrementalEvaluator(inst).objectives_with_swap(*idx),
+    "objective": objective,
+    "solve_subproblem": lambda inst, idx: solve_subproblem(np.ones(inst.m), idx, len(idx), 2),
+    "brute_force_subproblem": lambda inst, idx: brute_force_subproblem(np.ones(inst.m), idx, len(idx), 2),
+}
+BAD_INDICES = {  # name: (indices into m = 6 locations, error, pattern ending its message)
+    "float": ([1.0], TypeError, r"indices must be integers, got 1\.0$"),
+    "np.float64": ([np.float64(1)], TypeError, r"indices must be integers, got np\.float64\(1\.0\)$"),
+    "bool": ([True], TypeError, r"indices must be integers, got True$"),
+    # an array is read through tolist(), a lone element as it is
+    "np.bool-array": (np.array([True]), TypeError, r"indices must be integers, got (True|np\.True_)$"),
+    "negative": ([-1], ValueError, r"index -1 lies outside \[0, 6\)$"),
+    "m": ([6], ValueError, r"index 6 lies outside \[0, 6\)$"),
+    "repeated": ([1, 1], ValueError, r"indices must be distinct$"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in INDEX_ENTRY_POINTS for case in BAD_INDICES
+    if (entry, case) != ("objectives_with_swap", "repeated")  # it reads a single index
+])
+def test_one_location_index_contract(rng, entry, case):
+    # a cast would read 1.0 and True as location 1, and numpy would wrap -1 onto the last one
+    idx, error, pattern = BAD_INDICES[case]
+    inst = dense_random(rng, zones=5, m=6, nested=True)
+    with pytest.raises(error, match=pattern):
+        INDEX_ENTRY_POINTS[entry](inst, idx)

@@ -179,10 +179,11 @@ class TestChecks:
     def test_gradient_clean(self, nested):
         assert check_gradient(planar(zones=10, m=8, seed=8, nested=nested), 30, seed=1).passed
 
-    def test_gradient_step_validation(self):
-        inst = planar(zones=5, m=4, seed=0)
-        with pytest.raises(ValueError):
-            check_gradient(inst, 10, step=0.5)
+    def test_instance_audits_take_seed_third(self):
+        inst = planar(zones=10, m=8, seed=8)
+        for audit in (check_submodularity, check_monotonicity, check_gradient, check_cpgf_contracts):
+            report = audit(inst, 20, 3)
+            assert report == audit(inst, 20, seed=3) and report.seed == 3
 
     def test_gradient_with_all_zero_attraction_column(self, rng):
         y = rng.uniform(0.5, 2.0, (6, 5))

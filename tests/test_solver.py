@@ -228,7 +228,7 @@ class TestSubproblem:
         (np.ones((2, 3)), {0}, 1, 2, "coefficient vector must be 1-d"),
         ([1.0, 2.0, 3.0], {0}, 1, 3, "delta must be a positive even integer, got 3"),
         ([1.0, 2.0, 3.0], {0}, 2, 2, "incumbent has 1 locations, expected C=2"),
-        ([1.0, 2.0, 3.0], {5}, 1, 2, "incumbent indices must lie in [0, 3)"),
+        ([1.0, 2.0, 3.0], {5}, 1, 2, "incumbent index 5 lies outside [0, 3)"),
         ([1.0, 2.0, 3.0], {0, 1}, 2, 4, "delta/2 = 2 exceeds min(C, m - C) = 1"),
     ], ids=["negative", "2-d", "odd-delta", "wrong-size", "out-of-range", "region-too-wide"])
     def test_one_argument_contract(self, solver, d, incumbent, C, delta, message):
