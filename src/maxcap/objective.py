@@ -30,7 +30,6 @@ model: multinomial logit is priced as nested logit with a single nest and
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +115,7 @@ class Solution:
     objective: float | None = None
 
     def __post_init__(self):
-        sel = tuple(map(operator.index, self.selected))
+        sel = tuple(_integer(j, "a selected index") for j in self.selected)
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ValueError("selected indices must be strictly increasing")
         if sel and sel[0] < 0:
@@ -124,12 +123,24 @@ class Solution:
         object.__setattr__(self, "selected", sel)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not."""
+    return isinstance(x, _INTEGERS) and not isinstance(x, bool)
+
+
+def _integer(x, what: str) -> int:
+    """x as an int: TypeError for a non-integer, bool included (``operator.index(True)`` is 1)."""
+    if not _is_integer(x):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _check_indices(selected, m: int, what: str = "selected") -> np.ndarray:
     """The one check of location indices, returned in the caller's order: TypeError for
     a non-integer (``bool`` included), ValueError for one outside ``[0, m)`` or repeated."""
     idx = selected.tolist() if isinstance(selected, np.ndarray) else list(selected)  # Python scalars compare fastest
     for j in idx:
-        if type(j) is bool or not isinstance(j, _INTEGERS):
+        if not _is_integer(j):
             raise TypeError(f"{what} indices must be integers, got {j!r}")
         if not 0 <= j < m:
             raise ValueError(f"{what} index {j} lies outside [0, {m})")
@@ -146,6 +157,17 @@ def _captured(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 # A batch of relaxation points is priced in chunks of rows holding at most
 # this many zone x location cells, which bounds each temporary at 512 KiB.
 _CHUNK_CELLS = 1 << 16
+
+# swap_upper_bounds prices a zone exactly when closing a location can raise
+# its swap-scan terms by more than the factor 1 + _RHO_EXACT.
+_RHO_EXACT = 1e-3
+
+
+def _price_rows(dg: np.ndarray, opg: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum_i w_i * dg_i / (opg_i + dg_i) for each row of dg; ``buf``, of dg's shape, is overwritten."""
+    np.add(dg, opg, out=buf)
+    np.divide(dg, buf, out=buf)
+    return buf @ w
 
 
 def _per_point(inst: Instance, x, price):
@@ -224,7 +246,8 @@ class IncrementalEvaluator:
     Attractions raised to the nest's ``mu`` are stored location-major: one
     C-contiguous ``(locations in nest, zones)`` block per nest, in
     ``nest_cols`` order, unpowered where ``mu = 1`` (multinomial logit is one
-    such nest); phase 2 gathers raw ones from ``Y``.  The cached state is
+    such nest); the blocks are stacked in one ``(m, zones)`` array, nest
+    after nest.  Phase 2 gathers raw attractions from ``Y``.  The cached state is
     the selection's per-nest power sums ``T``, their roots
     ``V = T ** (1/mu)``, the zone values ``G = sum_l V_l`` and
     ``f = sum q G / (1 + G)``.  Opening location ``t`` of nest ``l`` raises
@@ -233,15 +256,18 @@ class IncrementalEvaluator:
     blocks into exact gains on top of zone values ``g``.  :meth:`_without`
     gives the state with one selected location closed plus its exact loss.
     Additions are ``f + gains``, swaps ``(f - loss) + gains`` and removals
-    ``f - loss``; :meth:`gains` prices a chosen list of locations alone.
-    Each block is reduced over zones by one matrix-vector product.
+    ``f - loss``; :meth:`gains` prices a chosen list of locations alone, and
+    :meth:`swap_upper_bounds` bounds each selected location's swaps from
+    the additions scan.  Each block is reduced over zones by one
+    matrix-vector product.
 
     Closing ``j_out`` changes only its own nest's sums, so every other
     nest's ``dG`` block is the same for all swap scans at one selection:
     the blocks at the current state are computed on first use after a
     ``reset`` and kept until the next one, and a swap scan recomputes nest
-    ``lo`` of ``j_out`` alone.  Nests with ``mu = 1`` need no cache, since
-    their ``dG`` is the stored block itself.  State belongs to a single
+    ``lo`` of ``j_out`` alone.  The cache is one ``(m, zones)`` array
+    stacked as the attractions, unless every nest has ``mu = 1``: then
+    ``dG`` is the stored array itself.  State belongs to a single
     run; it is not shared across threads.  ``reset`` rebuilds the state
     from scratch, and the solver prices every proposal with it, so no drift
     enters the accepted trajectory.
@@ -260,10 +286,18 @@ class IncrementalEvaluator:
         else:
             raise TypeError("incremental evaluation supports the bundled models only")
         self._inv_mu = 1.0 / self._mu
-        # row r of block l is location cols_l[r] across all zones, raised to mu_l
-        self._Ypb = [self.Y.T[cols] if mu == 1.0 else self.Y.T[cols] ** mu
-                     for cols, mu in zip(self._cols, self._mu)]
-        self._buf = np.empty((max(cols.size for cols in self._cols), self.Y.shape[0]))
+        starts = np.cumsum([0] + [cols.size for cols in self._cols])
+        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]  # nest l's rows in a stacked array
+        self._order = np.concatenate(self._cols)  # the location of each stacked row
+        # row r of block l is location cols_l[r] across all zones, raised to mu_l;
+        # the blocks are views of one (m, zones) array, stacked in nest order
+        self._Yps = self.Y.T[self._order]
+        self._Ypb = [self._Yps[rows] for rows in self._rows]
+        for yp, mu in zip(self._Ypb, self._mu):
+            if mu != 1.0:
+                yp **= mu
+        # two rows at least: swap_upper_bounds holds a gather of columns and a temporary in it
+        self._buf = np.empty((max(2, *(cols.size for cols in self._cols)), self.Y.shape[0]))
         # a nest with mu != 1 computes a swap scan's dG into a second scratch block
         self._scratch = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
         self.reset(())
@@ -300,22 +334,27 @@ class IncrementalEvaluator:
         out -= roots
         return out
 
-    def _state_dgs(self) -> list:
-        """Every nest's dG block at the current state, computed once per ``reset``."""
+    def _state_dgs(self) -> np.ndarray:
+        """Every location's dG at the current state, stacked as ``_Yps``; computed once per ``reset``."""
         if self._dgs is None:
-            # one (m, zones) array holds every block, so a reset frees it whole
-            out = None if self._scratch is None else np.empty((self.m, self.q.size))
-            starts = np.cumsum([0] + [cols.size for cols in self._cols])
-            self._dgs = [self._dg(l, yp, t, v, None if out is None else out[r:])
-                         for l, (yp, t, v, r) in enumerate(zip(self._Ypb, self._T, self._V, starts))]
+            if self._scratch is None:  # every nest has mu = 1, so dG is the stored block itself
+                self._dgs = self._Yps
+            else:  # one (m, zones) array, so a reset frees it whole
+                self._dgs = np.empty_like(self._Yps)
+                for l, (rows, yp, t, v) in enumerate(zip(self._rows, self._Ypb, self._T, self._V)):
+                    if self._mu[l] == 1.0:
+                        self._dgs[rows] = yp
+                    else:
+                        self._dg(l, yp, t, v, self._dgs[rows])
         return self._dgs
+
+    def _blocks(self, stacked: np.ndarray) -> list:
+        """The per-nest row blocks of an array stacked as ``_Yps``."""
+        return [stacked[rows] for rows in self._rows]
 
     def _price(self, dg: np.ndarray, opg: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_i w_i * dG_i / (opg_i + dG_i) for each row of dg."""
-        buf = self._buf[:dg.shape[0]]
-        np.add(dg, opg, out=buf)
-        np.divide(dg, buf, out=buf)
-        return buf @ w
+        return _price_rows(dg, opg, w, self._buf[:dg.shape[0]])
 
     def _gains(self, dgs, g_base: np.ndarray) -> np.ndarray:
         """f(state + j) - f(state) for every location j, from per-nest dG blocks.
@@ -361,7 +400,7 @@ class IncrementalEvaluator:
 
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        vals = self._f + self._gains(self._state_dgs(), self._G)
+        vals = self._f + self._gains(self._blocks(self._state_dgs()), self._G)
         vals[self._in] = -np.inf
         return vals
 
@@ -371,11 +410,83 @@ class IncrementalEvaluator:
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
         lo, sums, roots, g_base, loss = self._without(j_out)
-        dgs = list(self._state_dgs())
+        dgs = self._blocks(self._state_dgs())
         dgs[lo] = self._dg(lo, self._Ypb[lo], sums, roots, self._scratch)
         vals = (self._f - loss) + self._gains(dgs, g_base)
         vals[self._in] = -np.inf
         return vals
+
+    def swap_upper_bounds(self) -> np.ndarray:
+        """For each selected j_out, a bound on every value ``objectives_with_swap(j_out)`` returns.
+
+        Unselected entries are -inf, and so is every entry when S holds
+        every location.  A j_out in a nest with ``mu != 1`` gets +inf, which
+        leaves it to its swap scan: closing it changes its own nest's
+        ``dG``, which the argument below holds fixed.
+
+        Write ``opg = 1 + G`` for the zone values at S, and
+        ``a_it = w_i dG_it / (opg_i + dG_it)`` for the additions-scan terms,
+        so that ``gains_S[t] = sum_i a_it``.  Closing j lowers the zone
+        values to ``g'_i = G_i - delta_ij`` (the ``g_base`` of
+        :meth:`_without`), and t's swap-scan term becomes
+        ``q_i / opg'_i * dG'_it / (opg'_i + dG'_it)``.  When j's nest has
+        ``mu = 1``, ``dG'_it = dG_it`` for every t: other nests' sums do not
+        change, and in j's nest ``dG`` is the attraction itself.  So the
+        term is at most ``rho_ij * a_it`` with
+        ``rho_ij = max(1, opg_i / opg'_i) ** 2``: each of its two factors
+        grows by at most ``opg_i / opg'_i`` as the zone value drops (the max
+        covers a ``g'_i`` that rounding leaves above ``G_i``).  The zones
+        ``Z = {i : rho_ij > 1 + r}``, ``r = _RHO_EXACT``, get their exact
+        terms, gathered from the cached ``dG``; the other terms are at most
+        ``(1 + r) a_it`` and add up to at most
+        ``(1 + r) (gains_S[t] - sum_Z a_it)``.  The bound is ``f - loss_j``
+        plus the largest of these over t outside S.  This is lazy greedy's
+        submodularity argument, zone by zone.
+
+        Rounding: the bound and the swap scan take the same float ``G``,
+        ``g'`` and cached ``dG`` as inputs and share ``f - loss_j``.  Every
+        captured demand and gain in sight lies in ``[0, Q]``, ``Q`` the
+        total demand, and each sum over at most n zones of non-negative
+        terms, each a few units in the last place off, is off by at most
+        ``(n + 8) eps`` times its value.  The swap scan's gain, ``gains_S``,
+        the sums over Z and the last few operations, ``rho`` included, then
+        leave the bound and the scan at most about ``4 (n + 8) eps Q``
+        apart; twice that is added to every bound, in the style of greedy's
+        lazy slack.
+        """
+        bounds = np.full(self.m, -np.inf)
+        outside = ~self._in[self._order]  # stacked rows, like the dG cache's
+        if not outside.any():
+            return bounds  # no swap to bound
+        selected = np.flatnonzero(self._in)
+        unit = self._mu[self._nest_of[selected]] == 1.0
+        bounds[selected[~unit]] = np.inf
+        if not unit.any():
+            return bounds
+        slack = 8.0 * (self.q.size + 8) * np.finfo(float).eps * self.q.sum()
+        opg = 1.0 + self._G
+        state = self._state_dgs()
+        grown = (1.0 + _RHO_EXACT) * self._gains(self._blocks(state), self._G)[self._order]  # every term at its cap
+        flat = self._buf.reshape(-1)
+        for j in selected[unit]:
+            *_, g_base, loss = self._without(j)
+            opg_j = 1.0 + g_base
+            with np.errstate(over="ignore"):  # an overflowing rho marks a zone to price exactly
+                rho = np.maximum(opg / opg_j, 1.0) ** 2
+            z = np.flatnonzero(rho > 1.0 + _RHO_EXACT)
+            ub = grown.copy()
+            if z.size:  # in chunks of rows (one at least) whose Z columns and one temporary fit in _buf
+                opgj_z, wj_z, opg_z, w_z = opg_j[z], self.q[z] / opg_j[z], opg[z], self._w[z]
+                step = self._buf.size // (2 * z.size)
+                for r in range(0, self.m, step):
+                    cells = min(step, self.m - r) * z.size
+                    dz = flat[:cells].reshape(-1, z.size)
+                    buf = flat[cells:2 * cells].reshape(dz.shape)
+                    np.take(state[r:r + step], z, axis=1, out=dz, mode="clip")  # z is in range
+                    ub[r:r + step] += _price_rows(dz, opgj_z, wj_z, buf)
+                    ub[r:r + step] -= (1.0 + _RHO_EXACT) * _price_rows(dz, opg_z, w_z, buf)
+            bounds[j] = (self._f - loss) + ub[outside].max() + slack
+        return bounds
 
     def objectives_with_removals(self) -> np.ndarray:
         """f(S - j) for every selected j; +inf at unselected entries."""

@@ -16,17 +16,28 @@ is the best single swap, so it runs best-improvement swaps to a local
 optimum.  Both phases share one
 :class:`~maxcap.objective.IncrementalEvaluator`; greedy keeps its own.
 
+Phase 3 mostly certifies: its last proposal finds no improving swap.  So
+before it scans the swaps out of each selected location, it bounds them
+from one additions scan, by the submodularity argument of lazy greedy
+(:meth:`~maxcap.objective.IncrementalEvaluator.swap_upper_bounds`), and
+it scans only the locations whose bound beats both the incumbent and the
+best swap found so far.  A location in a nest with ``mu != 1`` has no
+bound and is always scanned.  The proposal is the full scan's whenever
+that one would be accepted; when no location needs a scan, it is the
+incumbent, which the loop rejects as it would reject the full scan's
+non-improving swap.
+
 Every tie is broken deterministically (smallest index, then fewest swaps), so
 a run is a pure function of (instance, config) whenever no time budget is
 hit, on one BLAS build with one thread count: the evaluator ranks moves
-through matrix-vector products, whose last bits can depend on both.  Every reported objective is the evaluator's from-scratch value of its
-selection, right after ``reset``; incremental move prices only rank
-candidates, so recorded phase trajectories are monotone by construction.
+through matrix-vector products, whose last bits can depend on both.  Every
+reported objective is the evaluator's from-scratch value of its selection,
+right after ``reset``; incremental move prices only rank candidates, so
+recorded phase trajectories are monotone by construction.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 # objective is unused here but stays bound, where bench/tracing.py wraps it by name
-from .objective import IncrementalEvaluator, Instance, Solution, _check_indices, improves, objective  # noqa: F401
+from .objective import (IncrementalEvaluator, Instance, Solution, _check_indices, _integer, improves,  # noqa: F401
+                        objective)
 
 __all__ = [
     "SolverConfig",
@@ -66,9 +78,9 @@ class SolverConfig:
     algo: str = "ggx"
 
     def __post_init__(self):
-        if operator.index(self.C) < 1:
+        if _integer(self.C, "cardinality C") < 1:
             raise ValueError(f"cardinality C must be >= 1, got {self.C}")
-        if operator.index(self.delta) < 2 or self.delta % 2 != 0:
+        if _integer(self.delta, "delta") < 2 or self.delta % 2 != 0:
             raise ValueError(f"delta must be a positive even integer, got {self.delta}")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive when given")
@@ -186,7 +198,7 @@ def subproblem_args(d, incumbent, C: int, delta: int):
     if np.any(d < 0.0):
         raise ValueError("coefficients must be non-negative")
     m = d.size
-    C, delta = operator.index(C), operator.index(delta)
+    C, delta = _integer(C, "cardinality C"), _integer(delta, "delta")
     inside = np.sort(_check_indices(incumbent, m, what="incumbent"))
     if inside.size != C:
         raise ValueError(f"incumbent has {inside.size} locations, expected C={C}")
@@ -262,13 +274,28 @@ def _linear_model_move(ev, current, cfg):
 
 
 def _best_swap(ev, current, _cfg):
-    """Phase 3's proposal: the best single swap by the evaluator's prices."""
+    """Phase 3's proposal: the best single swap by the evaluator's prices.
+
+    A ``j_out`` is scanned only when its bound from
+    :meth:`~maxcap.objective.IncrementalEvaluator.swap_upper_bounds` (+inf
+    in a nest with ``mu != 1``) exceeds both the incumbent's value and the
+    best swap found so far.  Any other
+    ``j_out`` can neither replace the first strict maximum nor offer a swap
+    that ``improves`` accepts.  So the proposal is the full scan's whenever
+    that would be accepted, and ``current`` when no ``j_out`` was scanned.
+    """
+    f = ev.current_objective()
+    bounds = ev.swap_upper_bounds()
     best_val, best_pair = -np.inf, None
     for j in sorted(current):  # ascending: the first strict maximum is the smallest (j, t) pair
+        if bounds[j] <= max(best_val, f):
+            continue
         vals = ev.objectives_with_swap(j)
         t = int(np.argmax(vals))
         if vals[t] > best_val:
             best_val, best_pair = float(vals[t]), (j, t)
+    if best_pair is None:
+        return current
     j, t = best_pair
     return current - {j} | {t}
 

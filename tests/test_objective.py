@@ -458,6 +458,103 @@ class TestIncrementalEvaluator:
             assert loss == pytest.approx(f - objective(inst, sorted(set(s) - {j})), abs=1e-12)
 
 
+class TestSwapUpperBounds:
+    """``swap_upper_bounds()[j]`` is at least every value ``objectives_with_swap(j)`` returns.
+
+    The bounds carry the rounding slack, so they are compared with the
+    dense scan's float values as they are.  A j_out in a nest with
+    ``mu != 1`` gets +inf, and every other selected j_out a finite bound.
+    """
+
+    @staticmethod
+    def assert_sound(inst, selected):
+        """Checks every bound at ``selected``; returns the bounds."""
+        ev = IncrementalEvaluator(inst)
+        ev.reset(selected)
+        bounds = ev.swap_upper_bounds()
+        model = inst.model
+        mu = model.mu[model.nest_of] if isinstance(model, NestedLogit) else np.ones(inst.m)
+        for j in range(inst.m):
+            if j not in selected:
+                assert bounds[j] == -np.inf
+            elif mu[j] != 1.0:
+                assert bounds[j] == np.inf, j
+            else:
+                assert ev.objectives_with_swap(j).max() <= bounds[j] < np.inf, j
+        return bounds
+
+    def selections(self, rng, inst):
+        m = inst.m
+        yield list(ggx(inst, SolverConfig(C=min(5, m - 1)))[0].selected)  # a local optimum
+        yield sorted(rng.choice(m, size=m // 3, replace=False).tolist())
+        yield sorted(rng.choice(m, size=m - 1, replace=False).tolist())  # C = m - 1
+        yield [int(np.argmax(inst.Y.sum(axis=0)))]  # C = 1: closing j empties every zone
+
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    @pytest.mark.parametrize("beta", [1.0, 5.0])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0])
+    def test_planar(self, rng, nested, beta, alpha):
+        for seed in range(2):
+            inst = planar(zones=120, m=24, beta=beta, alpha=alpha, seed=seed, nested=nested is True)
+            if nested == "interleaved":  # nest j % 3 with mu (1, 1.3, 1.5)
+                inst = Instance.from_arrays(inst.q, inst.Y, NestedLogit([j % 3 for j in range(24)], (1.0, 1.3, 1.5)))
+            for selected in self.selections(rng, inst):
+                self.assert_sound(inst, selected)
+
+    @pytest.mark.parametrize("nested", [False, True, "interleaved"])
+    def test_dense_random(self, rng, nested):
+        for _ in range(5):
+            inst = dense_random(rng, zones=40, m=15, nested=nested, zero_frac=0.6)
+            for selected in self.selections(rng, inst):
+                self.assert_sound(inst, selected)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_duplicated_and_zero_columns(self, nested):
+        base = planar(zones=200, m=8, beta=5.0, seed=3)
+        Y = base.Y[:, [0, 1, 0, 2, 1, 3, 0, 4, 5, 2, 6, 7]]
+        Y[:, 7] = 0.0
+        model = NestedLogit([j % 3 for j in range(12)], (1.0, 1.3, 1.3)) if nested else MultinomialLogit()
+        inst = Instance.from_arrays(base.q, Y, model)
+        for selected in ([0, 2, 7], [0, 1, 2, 4, 6], [7], list(range(11)), [1, 3, 5, 7, 9, 11]):
+            self.assert_sound(inst, selected)
+
+    def test_singleton_nests(self, rng):
+        # one location per nest: the pricing buffer has the fewest rows, and at C = 1 and
+        # beta 1 nearly every zone is priced exactly
+        inst = planar(zones=60, m=6, beta=1.0, seed=2)
+        inst = Instance.from_arrays(inst.q, inst.Y, NestedLogit(range(6), (1.0, 1.3, 1.0, 1.0, 1.5, 1.0)))
+        for selected in ([0], [3], [0, 1, 2], [1, 2, 3, 4, 5]):
+            self.assert_sound(inst, selected)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_rounding_is_covered(self, rng, nested):
+        # every location serves the same 20 of 100 zones, which closing j moves far, so the
+        # bound prices them exactly: it sums the swap scan's own terms in another order,
+        # and without the slack it falls an ulp short of the scan in about 1 case of 20
+        model = NestedLogit([j % 2 for j in range(8)], (1.0, 1.4)) if nested else MultinomialLogit()
+        for _ in range(100):
+            Y = np.zeros((100, 8))
+            Y[rng.choice(100, 20, replace=False)] = rng.uniform(0.1, 3.0, (20, 8))
+            inst = Instance.from_arrays(rng.uniform(0.5, 3.0, 100), Y, model)
+            self.assert_sound(inst, sorted(rng.choice(8, 3, replace=False).tolist()))
+
+    def test_unit_mu_nest_is_bounded(self):
+        # nest j % 3 with mu (1, 1.3, 1.5): closing a location of the mu = 1 nest leaves every
+        # dG as it was, as under multinomial logit, so its j_outs are bounded; closing one of
+        # another nest changes that nest's dG, so those j_outs are left to their swap scans
+        base = planar(zones=200, m=12, beta=5.0, seed=1)
+        inst = Instance.from_arrays(base.q, base.Y, NestedLogit([j % 3 for j in range(12)], (1.0, 1.3, 1.5)))
+        bounds = self.assert_sound(inst, [0, 3, 4, 8])  # nests 0, 0, 1 and 2
+        assert np.isfinite(bounds[[0, 3]]).all() and np.isinf(bounds[[4, 8]]).all()
+
+    def test_no_swap_to_bound(self, rng):
+        inst = dense_random(rng, zones=10, m=5)
+        ev = IncrementalEvaluator(inst)
+        for selected in ([], list(range(5))):
+            ev.reset(selected)
+            assert np.all(ev.swap_upper_bounds() == -np.inf)
+
+
 class TestEvaluatorMemory:
     """Bytes traced while building an evaluator and during one run, in copies of Y.
 

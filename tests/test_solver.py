@@ -22,6 +22,7 @@ from maxcap import (
     objective,
     solve_subproblem,
 )
+from maxcap.objective import improves
 from conftest import dense_random, planar
 from maxcap.solver import _best_swap, _climb, _Deadline, _linear_model_move
 
@@ -43,6 +44,34 @@ def eager_greedy(inst, C):
         chosen.append(int(np.argmax(ev.objectives_with_additions())))
         ev.reset(chosen)
     return tuple(sorted(chosen))
+
+
+def dense_best_swap(ev, current, _cfg):
+    """Phase 3's proposal without bounds: one swap scan per selected location."""
+    best_val, best_pair = -np.inf, None
+    for j in sorted(current):  # ascending: the first strict maximum is the smallest (j, t) pair
+        vals = ev.objectives_with_swap(j)
+        t = int(np.argmax(vals))
+        if vals[t] > best_val:
+            best_val, best_pair = float(vals[t]), (j, t)
+    j, t = best_pair
+    return current - {j} | {t}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SolverConfig(C=True),
+    lambda: SolverConfig(C=3, delta=True),
+    lambda: SolverConfig(C=np.True_),
+    lambda: Solution((False, True)),
+    lambda: solve_subproblem(np.ones(4), [0], True, 2),
+    lambda: brute_force_subproblem(np.ones(4), [0], True, 2),
+    lambda: brute_force_subproblem(np.ones(4), [0], 1, True),
+], ids=["config-C", "config-delta", "config-np.bool", "solution", "subproblem-C",
+        "brute-force-C", "brute-force-delta"])
+def test_bools_are_not_counts(call):
+    # operator.index(True) is 1, so each of these once ran with a count or an index of 1
+    with pytest.raises(TypeError, match="must be an integer, got (np\\.)?(True|False|True_)$"):
+        call()
 
 
 class TestConfig:
@@ -350,6 +379,72 @@ class TestExchange:
                 for t in set(range(10)) - selected:
                     swapped = sorted(selected - {j} | {t})
                     assert objective(inst, swapped) <= f + 1e-12
+
+
+class TestCertifiedExchange:
+    """The bounded ``_best_swap`` against ``dense_best_swap``, the scan of every j_out."""
+
+    @staticmethod
+    def instances(rng):
+        yield dense_random(rng, zones=40, m=15)
+        yield dense_random(rng, zones=40, m=15, nested=True)
+        yield dense_random(rng, zones=40, m=15, nested="interleaved")
+        for nested in (False, True):
+            for beta in (1.0, 5.0):
+                yield planar(zones=200, m=30, beta=beta, seed=4, nested=nested)
+        # ties: duplicated columns, and attractions rounded to a few values
+        base = planar(zones=200, m=10, beta=5.0, seed=5)
+        yield Instance.from_arrays(base.q, base.Y[:, [0, 1, 0, 2, 1, 3, 0, 4, 5, 2, 6, 7, 8, 9]],
+                                   MultinomialLogit())
+        Y = np.round(rng.uniform(0.0, 2.0, (30, 12)) * (rng.random((30, 12)) < 0.3))
+        yield Instance.from_arrays(np.ones(30), Y, NestedLogit([j % 2 for j in range(12)], (1.0, 1.4)))
+        yield single_zone([1.0, 1.0, 2.0, 1.0, 2.0])
+
+    @staticmethod
+    def poor_start(inst, C):
+        """The C locations of least total attraction: exchange needs several moves."""
+        return Solution(tuple(sorted(np.argsort(inst.Y.sum(axis=0), kind="stable")[:C].tolist())))
+
+    def test_proposals_match_dense_scan(self, rng):
+        moves = 0
+        for inst in self.instances(rng):
+            probe = IncrementalEvaluator(inst)
+
+            def checked(ev, current, cfg):
+                nonlocal moves
+                reference, proposal = dense_best_swap(ev, current, cfg), _best_swap(ev, current, cfg)
+                probe.reset(reference)
+                if improves(probe.current_objective(), ev.current_objective()):
+                    assert proposal == reference
+                    moves += 1
+                else:
+                    probe.reset(proposal)
+                    assert not improves(probe.current_objective(), ev.current_objective())
+                return proposal
+
+            for C in (1, 3, inst.m // 2, inst.m - 1):
+                cfg = SolverConfig(C=C)
+                start = self.poor_start(inst, C)
+                assert climb(inst, start, cfg, checked) == climb(inst, start, cfg, dense_best_swap)
+        assert moves >= 20
+
+    def test_scans_few_j_outs_at_a_local_optimum(self):
+        scanned = []
+
+        class Counting(IncrementalEvaluator):
+            def objectives_with_swap(self, j_out):
+                scanned.append(j_out)
+                return super().objectives_with_swap(j_out)
+
+        inst = planar(zones=300, m=60, beta=5.0, seed=2)
+        cfg = SolverConfig(C=10)
+        optimum, _ = ggx(inst, cfg)
+        ev = Counting(inst)
+        ev.reset(optimum.selected)
+        assert _best_swap(ev, frozenset(optimum.selected), cfg) == frozenset(optimum.selected)
+        assert len(scanned) < cfg.C
+        out, iterations = _climb(ev, optimum, cfg, _Deadline(None), _best_swap)
+        assert (out.selected, iterations) == (optimum.selected, 1)
 
 
 class TestGgx:
