@@ -40,7 +40,6 @@ from .solver import (
     RunReport,
     SolverConfig,
     ggx,
-    greedy,
     solve_subproblem,
 )
 
@@ -76,6 +75,5 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "ggx",
-    "greedy",
     "solve_subproblem",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice_models import ChoiceModel, MultinomialLogit, NestedLogit
-from .objective import Instance
+from .objective import Instance, _integer
 
 __all__ = [
     "GeneratorParams",
@@ -70,8 +70,9 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.zones < 1 or self.locations < 1 or self.competitors < 1:
-            raise ValueError("zones, locations and competitors must all be >= 1")
+        for name in ("zones", "locations", "competitors"):
+            _integer(getattr(self, name), name, low=1)
+        _integer(self.seed, "seed", low=0)
         if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.plane_side)):
             raise ValueError("alpha, beta and plane_side must be positive and finite")
 
@@ -87,8 +88,8 @@ class MmnlParams:
     def __post_init__(self):
         if not 0 < self.theta < np.inf:
             raise ValueError("theta must be positive and finite")
-        if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
+        _integer(self.samples, "sample count", low=1)
+        _integer(self.seed, "seed", low=0)
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -176,7 +177,7 @@ def assign_nests(m: int, n_nests: int, mu) -> NestedLogit:
     with five nests yields sizes 12, 12, 12, 12, 11.
     """
     mu = np.asarray(mu, dtype=float)
-    if not 1 <= n_nests <= m:
+    if not 1 <= _integer(n_nests, "nest count") <= m:
         raise ValueError(f"need 1 <= nests <= m, got {n_nests} nests for m={m}")
     if mu.shape != (n_nests,):
         raise ValueError(f"expected {n_nests} dissimilarity parameters, got {mu.shape}")

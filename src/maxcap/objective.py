@@ -128,10 +128,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, _INTEGERS) and not isinstance(x, bool)
 
 
-def _integer(x, what: str) -> int:
-    """x as an int: TypeError for a non-integer, bool included (``operator.index(True)`` is 1)."""
+def _integer(x, what: str, low: int | None = None) -> int:
+    """x as an int: TypeError for a non-integer, bool included (``operator.index(True)`` is 1), ValueError below low."""
     if not _is_integer(x):
         raise TypeError(f"{what} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ValueError(f"{what} must be >= {low}")
     return int(x)
 
 

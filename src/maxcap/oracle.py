@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Instance, Solution, objective, objective_gradient, objective_relaxed  # noqa: F401
+from .objective import Instance, Solution, _integer, objective, objective_gradient, objective_relaxed  # noqa: F401
 from .solver import subproblem_args
 
 __all__ = [
@@ -99,7 +99,7 @@ def _report(name: str, excess: np.ndarray, tol: float, seed: int) -> PropertyRep
 
 def brute_force_opt(inst: Instance, C: int) -> Solution:
     """Exact optimum over all size-C subsets; ties go to the first in lex order."""
-    if C < 1 or C > inst.m:
+    if not 1 <= _integer(C, "cardinality C") <= inst.m:
         raise ValueError(f"cardinality must satisfy 1 <= C <= {inst.m}, got {C}")
     count = math.comb(inst.m, C)
     if count > ENUMERATION_GUARD:
@@ -164,9 +164,8 @@ def brute_force_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> froz
 
 def _rng(trials: int, seed: int) -> np.random.Generator:
     """The random stream of an audit of ``trials`` trials; at least one trial is required."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return np.random.default_rng(seed)
+    _integer(trials, "trials", low=1)
+    return np.random.default_rng(_integer(seed, "seed", low=0))
 
 
 def check_submodularity(inst: Instance, trials: int, seed: int = 0) -> PropertyReport:

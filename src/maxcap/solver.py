@@ -13,8 +13,8 @@ region of selections within symmetric difference ``delta`` of the incumbent
 (:func:`solve_subproblem`: one partition per side finds the delta/2 extreme
 coefficients in O(m), and a stable sort orders them).  Phase 3's proposal
 is the best single swap, so it runs best-improvement swaps to a local
-optimum.  Both phases share one
-:class:`~maxcap.objective.IncrementalEvaluator`; greedy keeps its own.
+optimum.  All three phases run on one
+:class:`~maxcap.objective.IncrementalEvaluator`, built once per run.
 
 Phase 3 mostly certifies: its last proposal finds no improving swap.  So
 before it scans the swaps out of each selected location, it bounds them
@@ -78,8 +78,7 @@ class SolverConfig:
     algo: str = "ggx"
 
     def __post_init__(self):
-        if _integer(self.C, "cardinality C") < 1:
-            raise ValueError(f"cardinality C must be >= 1, got {self.C}")
+        _integer(self.C, "cardinality C", low=1)
         if _integer(self.delta, "delta") < 2 or self.delta % 2 != 0:
             raise ValueError(f"delta must be a positive even integer, got {self.delta}")
         if self.time_budget is not None and not self.time_budget > 0:
@@ -126,30 +125,31 @@ class _Deadline:
         return self._until is not None and time.perf_counter() >= self._until
 
 
-def greedy(inst: Instance, C: int) -> Solution:
-    """Warm-up: add the best-gain location C times, ties to the smallest index.
+def greedy(ev: IncrementalEvaluator, C: int) -> Solution:
+    """Warm-up on ``ev``: add the best-gain location C times, ties to the smallest index.
 
-    Lazy (Minoux 1978): the first step prices every location with one
-    additions scan; later steps re-price only candidates whose stale gain
-    could still win.  Submodularity makes a location's last priced gain an
-    upper bound on its gain now, so candidates are re-priced in descending
+    Starts from ``ev.reset(())`` and leaves ``ev`` reset to the result, where
+    phase 2 starts.  Lazy (Minoux 1978): the first step prices every location
+    with one additions scan; later steps re-price only candidates whose stale
+    gain could still win.  Submodularity makes a location's last priced gain
+    an upper bound on its gain now, so candidates are re-priced in descending
     order of ``f + bound`` until every stale one falls more than a rounding
     slack below the best fresh ``f + gain``.  The slack covers what rounding
-    can add to a gain that cannot rise, and the last-place differences
-    between :meth:`~maxcap.objective.IncrementalEvaluator.gains` and the
-    additions scan.  When two fresh values lie within it of each other, the
-    step is decided by a full additions scan instead, so every step picks
-    what the eager argmax over ``f + gains`` picks, ties included.
+    can add to a gain that cannot rise, and the last-place differences between
+    :meth:`~maxcap.objective.IncrementalEvaluator.gains` and the additions
+    scan.  When two fresh values lie within it of each other, the step is
+    decided by a full additions scan instead, so every step picks what the
+    eager argmax over ``f + gains`` picks, ties included.
     """
-    if C < 1 or C > inst.m:
-        raise ValueError(f"cardinality C={C} is below 1 or exceeds m={inst.m}")
-    ev = IncrementalEvaluator(inst)
+    if not 1 <= _integer(C, "cardinality C") <= ev.m:
+        raise ValueError(f"cardinality C={C} is below 1 or exceeds m={ev.m}")
+    ev.reset(())
     bound = ev.objectives_with_additions()  # f(empty) = 0, so these are the first gains exactly
     chosen = [int(np.argmax(bound))]  # argmax returns the first maximum: smallest index
     for _ in range(1, C):
         ev.reset(chosen)
         bound[chosen[-1]] = -np.inf
-        chosen.append(_lazy_pick(ev, bound, inst.m - len(chosen)))
+        chosen.append(_lazy_pick(ev, bound, ev.m - len(chosen)))
     ev.reset(chosen)
     return Solution(tuple(sorted(chosen)), ev.current_objective())
 
@@ -306,16 +306,16 @@ def ggx(inst: Instance, cfg: SolverConfig):
     The warm-up always runs to completion so the returned selection has
     exactly C locations; the time budget gates phases 2 and 3, checked
     between iterations.  Each phase's wall time runs from the end of the
-    previous one, so phase 2's includes building the shared evaluator.
+    previous one; greedy's includes building the evaluator all phases share.
     """
     deadline = _Deadline(cfg.time_budget)
     t0 = time.perf_counter()
+    ev = IncrementalEvaluator(inst)
     # greedy is looked up at call time, so a wrapper installed on the module sees it
-    solution = greedy(inst, cfg.C)
+    solution = greedy(ev, cfg.C)
     t1 = time.perf_counter()
     phases = [Phase("greedy", solution.objective, cfg.C, (t1 - t0) * 1e3)]
     if cfg.algo == "ggx":
-        ev = IncrementalEvaluator(inst)
         for name, propose in (("gradient", _linear_model_move), ("exchange", _best_swap)):
             t0 = t1
             solution, iterations = _climb(ev, solution, cfg, deadline, propose)

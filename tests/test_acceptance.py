@@ -27,7 +27,6 @@ from maxcap import (
     check_subproblem,
     generate_euclidean,
     ggx,
-    greedy,
     mmnl_expand,
     objective,
 )
@@ -96,7 +95,7 @@ def criterion_3(workdir):
     good, lines = 0, []
     for i in range(100):
         inst, C = small_instance(i)
-        gh = greedy(inst, C)
+        gh = ggx(inst, SolverConfig(C=C, algo="gh"))[0]
         opt = brute_force_opt(inst, C)
         good += gh.objective >= GUARANTEE * opt.objective
         lines.append(f"{i}: gh={gh.objective:.12f} opt={opt.objective:.12f} set={opt.selected}")
@@ -115,7 +114,7 @@ def criterion_5(workdir):
     lines = []
     for i in range(100):
         inst, C = small_instance(i)
-        gh = greedy(inst, C)
+        gh = ggx(inst, SolverConfig(C=C, algo="gh"))[0]
         opt = brute_force_opt(inst, C)
         sol, report = ggx(inst, SolverConfig(C=C))
         ge += sol.objective >= gh.objective - 1e-12
@@ -198,7 +197,7 @@ def criterion_9(workdir):
     p = GeneratorParams(zones=800, locations=100, competitors=5, alpha=0.1, beta=1.0, seed=42)
     inst = generate_euclidean(p, MultinomialLogit())
     t0 = time.perf_counter()
-    gh = greedy(inst, 10)
+    gh = ggx(inst, SolverConfig(C=10, algo="gh"))[0]
     gh_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     sol, report = ggx(inst, SolverConfig(C=10, delta=4))

@@ -12,13 +12,17 @@ from maxcap import (
     MmnlParams,
     MultinomialLogit,
     PropertyReport,
+    SolverConfig,
     assign_nests,
     generate_euclidean,
-    greedy,
+    ggx,
     mmnl_expand,
     write_instance,
 )
 from maxcap.cli import DEFAULT_MU, main
+
+# name -> the generate argv and each solve's argv and stdout, the instance path written {instance}
+SOLVE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "solve.json").read_text())
 
 
 def run(capsys, *argv):
@@ -195,6 +199,16 @@ class TestSolve:
         # selected, objective and every phase record, wall_ms 0.0 included
         assert json.loads(raw) == expected
 
+    @pytest.mark.parametrize("name", SOLVE_GOLDEN)
+    def test_json_matches_golden(self, capsys, tmp_path, name):
+        # n1-s0 and m5-s0 each make an exchange move, so every phase's output is pinned
+        case = SOLVE_GOLDEN[name]
+        path = str(tmp_path / f"{name}.mcp")
+        assert run(capsys, *case["generate"].replace("{instance}", path).split())[0] == 0
+        for solve in case["runs"]:
+            code, stdout, _ = run(capsys, *solve["argv"].replace("{instance}", path).split())
+            assert (code, stdout.replace(path, "{instance}")) == (0, solve["stdout"])
+
 
 class TestCheck:
     def test_all_suites_pass_on_defaults(self, capsys):
@@ -313,7 +327,7 @@ class TestBench:
             params = GeneratorParams(zones=int(r[1]), locations=m, alpha=float(r[4]), beta=float(r[5]))
             built = generate_euclidean(params, MultinomialLogit() if model == "mnl" else
                                        assign_nests(m, 5, DEFAULT_MU))
-            assert r[8] == f"{greedy(built, int(r[3])).objective:.12f}"
+            assert r[8] == f"{ggx(built, SolverConfig(C=int(r[3]), algo='gh'))[0].objective:.12f}"
 
     @pytest.mark.parametrize("C", ["0:2", "-1", "0"])
     def test_nonpositive_cardinality_is_usage_error(self, capsys, tmp_path, C):

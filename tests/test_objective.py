@@ -6,19 +6,29 @@ import numpy as np
 import pytest
 
 from maxcap import (
+    GeneratorParams,
     IncrementalEvaluator,
     Instance,
+    MmnlParams,
     MultinomialLogit,
     NestedLogit,
     Solution,
     SolverConfig,
+    assign_nests,
+    brute_force_opt,
     brute_force_subproblem,
+    check_cpgf_contracts,
+    check_gradient,
+    check_monotonicity,
+    check_submodularity,
+    check_subproblem,
     ggx,
     objective,
     objective_gradient,
     objective_relaxed,
     solve_subproblem,
 )
+from maxcap.solver import greedy
 from conftest import dense_random, planar
 
 
@@ -660,3 +670,40 @@ def test_one_location_index_contract(rng, entry, case):
     inst = dense_random(rng, zones=5, m=6, nested=True)
     with pytest.raises(error, match=pattern):
         INDEX_ENTRY_POINTS[entry](inst, idx)
+
+
+# Every count read outside SolverConfig and the subproblem, each called with the value under test
+AUDITS = (check_submodularity, check_monotonicity, check_gradient, check_cpgf_contracts)
+COUNT_ENTRY_POINTS = {
+    "greedy-C": lambda inst, v: greedy(IncrementalEvaluator(inst), v),
+    "brute_force_opt-C": brute_force_opt,
+    **{f"{audit.__name__}-trials": audit for audit in AUDITS},
+    **{f"{audit.__name__}-seed": lambda inst, v, audit=audit: audit(inst, 2, seed=v) for audit in AUDITS},
+    "check_subproblem-trials": lambda inst, v: check_subproblem(v),
+    "check_subproblem-seed": lambda inst, v: check_subproblem(2, seed=v),
+    **{f"GeneratorParams-{name}": lambda inst, v, name=name: GeneratorParams(**{"zones": 3, "locations": 4, name: v})
+       for name in ("zones", "locations", "competitors", "seed")},
+    "MmnlParams-samples": lambda inst, v: MmnlParams(theta=1.0, samples=v),
+    "MmnlParams-seed": lambda inst, v: MmnlParams(theta=1.0, samples=2, seed=v),
+    "assign_nests-n_nests": lambda inst, v: assign_nests(5, v, [1.2]),
+}
+BAD_COUNTS = {  # name: (value, error, pattern ending its message)
+    "bool": (True, TypeError, r"must be an integer, got True$"),
+    "np.bool": (np.True_, TypeError, r"must be an integer, got (True|np\.True_)$"),
+    "float": (1.0, TypeError, r"must be an integer, got 1\.0$"),
+    "np.float64": (np.float64(1), TypeError, r"must be an integer, got np\.float64\(1\.0\)$"),
+    "negative-seed": (-1, ValueError, r"seed must be >= 0$"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in COUNT_ENTRY_POINTS for case in BAD_COUNTS
+    if case != "negative-seed" or entry.endswith("-seed")
+])
+def test_one_count_contract(rng, entry, case):
+    # operator.index(True) is 1, so a bool would run as a count of 1; a float would fail
+    # deep inside, and a negative seed only in numpy, once the first number is drawn
+    value, error, pattern = BAD_COUNTS[case]
+    inst = dense_random(rng, zones=5, m=6, nested=True)
+    with pytest.raises(error, match=pattern):
+        COUNT_ENTRY_POINTS[entry](inst, value)

@@ -18,13 +18,12 @@ from maxcap import (
     brute_force_opt,
     brute_force_subproblem,
     ggx,
-    greedy,
     objective,
     solve_subproblem,
 )
 from maxcap.objective import improves
 from conftest import dense_random, planar
-from maxcap.solver import _best_swap, _climb, _Deadline, _linear_model_move
+from maxcap.solver import _best_swap, _climb, _Deadline, _linear_model_move, greedy
 
 
 def single_zone(y):
@@ -105,7 +104,7 @@ class TestConfig:
 class TestGreedy:
     def test_picks_best_pair(self):
         inst = single_zone([3.0, 2.0, 1.0])
-        sol = greedy(inst, 2)
+        sol = greedy(IncrementalEvaluator(inst), 2)
         assert sol.selected == (0, 1)
         # brute force over all pairs agrees
         assert sol.selected == brute_force_opt(inst, 2).selected
@@ -113,23 +112,23 @@ class TestGreedy:
 
     def test_full_cardinality(self):
         inst = planar(zones=8, m=6, seed=1)
-        assert greedy(inst, 6).selected == tuple(range(6))
+        assert greedy(IncrementalEvaluator(inst), 6).selected == tuple(range(6))
 
     def test_tie_break_smallest_index(self):
         inst = single_zone([1.0, 1.0, 1.0, 1.0])
-        assert greedy(inst, 2).selected == (0, 1)
+        assert greedy(IncrementalEvaluator(inst), 2).selected == (0, 1)
 
     def test_invalid_cardinality(self):
         inst = single_zone([1.0, 2.0])
         with pytest.raises(ValueError):
-            greedy(inst, 0)
+            greedy(IncrementalEvaluator(inst), 0)
         with pytest.raises(ValueError):
-            greedy(inst, 3)
+            greedy(IncrementalEvaluator(inst), 3)
 
     def test_matches_marginal_argmax_trajectory(self, rng):
         # each step must add the argmax marginal gain over the remaining locations
         inst = dense_random(rng, zones=7, m=9, nested=True)
-        sol = greedy(inst, 4)
+        sol = greedy(IncrementalEvaluator(inst), 4)
         s = []
         for _ in range(4):
             gains = [
@@ -148,7 +147,7 @@ class TestLazyGreedy:
         for _ in range(10):
             inst = dense_random(rng, zones=40, m=24, nested=nested, zero_frac=0.6)
             for C in (1, 5, 12, 24):
-                assert greedy(inst, C).selected == eager_greedy(inst, C)
+                assert greedy(IncrementalEvaluator(inst), C).selected == eager_greedy(inst, C)
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_duplicated_columns_tie_to_smallest_index(self, rng, nested):
@@ -157,8 +156,8 @@ class TestLazyGreedy:
         model = NestedLogit([j % 3 for j in range(12)], (1.0, 1.3, 1.3)) if nested else MultinomialLogit()
         inst = Instance.from_arrays(base.q, Y, model)
         for C in range(1, 13):
-            assert greedy(inst, C).selected == eager_greedy(inst, C)
-        assert greedy(single_zone([2.0, 1.0, 2.0, 1.0, 2.0]), 4).selected == (0, 1, 2, 4)
+            assert greedy(IncrementalEvaluator(inst), C).selected == eager_greedy(inst, C)
+        assert greedy(IncrementalEvaluator(single_zone([2.0, 1.0, 2.0, 1.0, 2.0])), 4).selected == (0, 1, 2, 4)
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_all_zero_column(self, rng, nested):
@@ -167,20 +166,20 @@ class TestLazyGreedy:
         Y[:, 4] = 0.0
         inst = Instance.from_arrays(base.q, Y, base.model)
         for C in (3, 9, 10):
-            assert greedy(inst, C).selected == eager_greedy(inst, C)
-        assert 4 not in greedy(inst, 9).selected
+            assert greedy(IncrementalEvaluator(inst), C).selected == eager_greedy(inst, C)
+        assert 4 not in greedy(IncrementalEvaluator(inst), 9).selected
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_clamp_floor_instance(self, nested):
         # beta 5 clamps most utilities to the floor, so most gains are tiny but nonzero
         inst = planar(zones=300, m=60, beta=5.0, seed=4, nested=nested)
         for C in (10, 30, 60):
-            assert greedy(inst, C).selected == eager_greedy(inst, C)
+            assert greedy(IncrementalEvaluator(inst), C).selected == eager_greedy(inst, C)
 
-    def test_prices_few_columns(self, monkeypatch):
+    def test_prices_few_columns(self):
         priced = []
 
-        class Counting(maxcap.solver.IncrementalEvaluator):
+        class Counting(IncrementalEvaluator):
             def gains(self, cols):
                 priced.append(len(cols))
                 return super().gains(cols)
@@ -189,10 +188,9 @@ class TestLazyGreedy:
                 priced.append(self.m)
                 return super().objectives_with_additions()
 
-        monkeypatch.setattr(maxcap.solver, "IncrementalEvaluator", Counting)
         inst = planar(zones=300, m=60, beta=5.0, seed=2)
         C = 10
-        assert greedy(inst, C).selected == eager_greedy(inst, C)
+        assert greedy(Counting(inst), C).selected == eager_greedy(inst, C)
         assert sum(priced) < C * inst.m / 2
 
 
@@ -331,7 +329,7 @@ class TestGradientLocalSearch:
     def test_improves_suboptimal_greedy(self):
         # seeds where the warm start is provably not optimal
         inst = dense_random(np.random.default_rng(4), zones=6, m=9)
-        warm = greedy(inst, 3)
+        warm = ggx(inst, SolverConfig(C=3, algo="gh"))[0]
         opt = brute_force_opt(inst, 3)
         assert warm.objective < opt.objective - 1e-9
         out = climb(inst, warm, SolverConfig(C=3), _linear_model_move)[0]
@@ -339,7 +337,7 @@ class TestGradientLocalSearch:
 
     def test_single_swap_steps_with_delta_two(self, rng):
         inst = dense_random(rng, zones=6, m=9, nested=True)
-        warm = greedy(inst, 3)
+        warm = ggx(inst, SolverConfig(C=3, algo="gh"))[0]
         out = climb(inst, warm, SolverConfig(C=3, delta=2), _linear_model_move)[0]
         assert len(out.selected) == 3
         assert out.objective >= warm.objective
@@ -351,7 +349,7 @@ class TestGradientLocalSearch:
 
     def test_linear_model_never_hurts(self, rng):
         inst = dense_random(rng, zones=7, m=10, nested=True)
-        warm = greedy(inst, 3)
+        warm = ggx(inst, SolverConfig(C=3, algo="gh"))[0]
         out = climb(inst, warm, SolverConfig(C=3), _linear_model_move)[0]
         assert out.objective >= warm.objective - 1e-12
 
@@ -372,7 +370,7 @@ class TestExchange:
     def test_result_is_one_swap_local_optimum(self, rng):
         for trial in range(10):
             inst = dense_random(rng, zones=6, m=10, nested=trial % 2 == 1)
-            out = climb(inst, greedy(inst, 3), SolverConfig(C=3), _best_swap)[0]
+            out = climb(inst, ggx(inst, SolverConfig(C=3, algo="gh"))[0], SolverConfig(C=3), _best_swap)[0]
             f = out.objective
             selected = set(out.selected)
             for j in selected:
@@ -452,7 +450,7 @@ class TestGgx:
         n_opt = 0
         for trial in range(30):
             inst = dense_random(rng, zones=6, m=9, nested=trial % 2 == 1)
-            warm = greedy(inst, 3)
+            warm = ggx(inst, SolverConfig(C=3, algo="gh"))[0]
             sol, report = ggx(inst, SolverConfig(C=3))
             assert sol.objective >= warm.objective - 1e-12
             f1, f2, f3 = report.phase_objectives
@@ -463,7 +461,7 @@ class TestGgx:
 
     def test_recovers_optimum_lost_by_greedy(self):
         inst = dense_random(np.random.default_rng(4), zones=6, m=9)
-        assert greedy(inst, 3).objective == pytest.approx(8.160094007703, abs=1e-9)
+        assert ggx(inst, SolverConfig(C=3, algo="gh"))[0].objective == pytest.approx(8.160094007703, abs=1e-9)
         sol, _ = ggx(inst, SolverConfig(C=3))
         assert sol.objective == pytest.approx(8.184312653731, abs=1e-9)
         assert sol.selected == (3, 4, 5)
@@ -477,7 +475,7 @@ class TestGgx:
     def test_gh_runs_the_warm_up_alone(self, rng):
         inst = dense_random(rng, zones=8, m=10, nested=True)
         sol, report = ggx(inst, SolverConfig(C=4, algo="gh"))
-        assert sol == greedy(inst, 4)
+        assert sol == greedy(IncrementalEvaluator(inst), 4)
         assert [(p.name, p.objective, p.iterations) for p in report.phases] == [
             ("greedy", sol.objective, 4)]
         with pytest.raises(ValueError):
@@ -511,7 +509,7 @@ class TestGgx:
 
     def test_cached_objective_matches_canonical_evaluation(self, rng):
         inst = dense_random(rng, zones=7, m=10, nested=True)
-        for sol in (greedy(inst, 3), ggx(inst, SolverConfig(C=3))[0]):
+        for sol in (ggx(inst, SolverConfig(C=3, algo="gh"))[0], ggx(inst, SolverConfig(C=3))[0]):
             assert sol.objective == objective(inst, sol.selected)
 
     def test_tiny_time_budget_still_returns_valid_solution(self):
@@ -522,7 +520,7 @@ class TestGgx:
         f1, f2, f3 = report.phase_objectives
         assert f1 <= f2 <= f3
 
-    def test_local_search_phases_share_one_evaluator(self, rng, monkeypatch):
+    def test_one_evaluator_per_run(self, rng, monkeypatch):
         built = []
 
         class Counting(maxcap.solver.IncrementalEvaluator):
@@ -532,9 +530,11 @@ class TestGgx:
 
         monkeypatch.setattr(maxcap.solver, "IncrementalEvaluator", Counting)
         inst = dense_random(rng, zones=8, m=10, nested=True)
-        _, report = ggx(inst, SolverConfig(C=4))
-        assert [p.name for p in report.phases] == ["greedy", "gradient", "exchange"]
-        assert len(built) == 2  # greedy's own, then one shared by gradient and exchange
+        for algo, names in (("ggx", ["greedy", "gradient", "exchange"]), ("gh", ["greedy"])):
+            built.clear()
+            _, report = ggx(inst, SolverConfig(C=4, algo=algo))
+            assert [p.name for p in report.phases] == names
+            assert len(built) == 1  # one evaluator, shared by every phase
 
     def test_greedy_and_ggx_never_reach_the_oracle_kernel(self, rng, monkeypatch):
         def refuse(inst, rows):
@@ -546,7 +546,7 @@ class TestGgx:
             objective(planar(zones=5, m=4), (0,))
         for nested in (False, True):
             inst = dense_random(rng, zones=12, m=10, nested=nested)
-            warm = greedy(inst, 4)
+            warm = ggx(inst, SolverConfig(C=4, algo="gh"))[0]
             sol, report = ggx(inst, SolverConfig(C=4))
             assert report.phases[0].objective == warm.objective
             assert sol.objective >= warm.objective
@@ -572,15 +572,16 @@ class TestGgx:
             resets.clear()
             _, report = ggx(inst, SolverConfig(C=4))
             shared = resets[-1]
-            # construction, each phase's start, then one per proposal
-            assert resets.count(shared) == 3 + report.phases[1].iterations + report.phases[2].iterations
+            # construction, greedy's start and its C = 4 picks, each local-search phase's
+            # start, then one per proposal, all on the one evaluator
+            assert resets == [shared] * (2 + 4 + 2 + report.phases[1].iterations + report.phases[2].iterations)
 
     def test_reported_objectives_are_the_evaluators_values_mnl(self, rng):
         for trial in range(4):
             inst = dense_random(rng, zones=40, m=30, zero_frac=0.1)
             cfg = SolverConfig(C=6)
             sol, report = ggx(inst, cfg)
-            warm = greedy(inst, cfg.C)
+            warm = ggx(inst, SolverConfig(C=cfg.C, algo="gh"))[0]
             mid, _ = climb(inst, warm, cfg, _linear_model_move)
             assert mid.objective == report.phases[1].objective
             for s, f in zip((warm, mid, sol), report.phase_objectives):
