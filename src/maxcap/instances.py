@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice_models import ChoiceModel, MultinomialLogit, NestedLogit
-from .objective import Instance, _integer
+from .objective import Instance, _integer, _positive_real
 
 __all__ = [
     "GeneratorParams",
@@ -73,8 +73,8 @@ class GeneratorParams:
         for name in ("zones", "locations", "competitors"):
             _integer(getattr(self, name), name, low=1)
         _integer(self.seed, "seed", low=0)
-        if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.plane_side)):
-            raise ValueError("alpha, beta and plane_side must be positive and finite")
+        for name in ("alpha", "beta", "plane_side"):
+            _positive_real(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ class MmnlParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.theta < np.inf:
-            raise ValueError("theta must be positive and finite")
+        _positive_real(self.theta, "theta")
         _integer(self.samples, "sample count", low=1)
         _integer(self.seed, "seed", low=0)
 

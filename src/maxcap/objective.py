@@ -30,6 +30,7 @@ model: multinomial logit is priced as nested logit with a single nest and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,14 @@ def _integer(x, what: str, low: int | None = None) -> int:
     if low is not None and x < low:
         raise ValueError(f"{what} must be >= {low}")
     return int(x)
+
+
+def _positive_real(x, what: str) -> None:
+    """TypeError unless x is a real number (a bool is not), ValueError unless it is positive and finite."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise TypeError(f"{what} must be a real number, got {x!r}")
+    if not 0 < x < np.inf:
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def _check_indices(selected, m: int, what: str = "selected") -> np.ndarray:

@@ -11,10 +11,11 @@ phase.  Phase 2's proposal linearizes the binary objective at the
 incumbent's indicator point and maximizes the linear model exactly over the
 region of selections within symmetric difference ``delta`` of the incumbent
 (:func:`solve_subproblem`: one partition per side finds the delta/2 extreme
-coefficients in O(m), and a stable sort orders them).  Phase 3's proposal
-is the best single swap, so it runs best-improvement swaps to a local
-optimum.  All three phases run on one
-:class:`~maxcap.objective.IncrementalEvaluator`, built once per run.
+coefficients in O(m), and it swaps every pair whose outside coefficient
+beats its inside one, at least one).  Phase 3's proposal is the best
+single swap, so it runs best-improvement swaps to a local optimum.  All
+three phases run on one :class:`~maxcap.objective.IncrementalEvaluator`,
+built once per run.
 
 Phase 3 mostly certifies: its last proposal finds no improving swap.  So
 before it scans the swaps out of each selected location, it bounds them
@@ -40,13 +41,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 # objective is unused here but stays bound, where bench/tracing.py wraps it by name
-from .objective import (IncrementalEvaluator, Instance, Solution, _check_indices, _integer, improves,  # noqa: F401
-                        objective)
+from .objective import (IncrementalEvaluator, Instance, Solution, _check_indices, _integer, _positive_real,
+                        improves, objective)  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -81,8 +81,8 @@ class SolverConfig:
         _integer(self.C, "cardinality C", low=1)
         if _integer(self.delta, "delta") < 2 or self.delta % 2 != 0:
             raise ValueError(f"delta must be a positive even integer, got {self.delta}")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("time_budget must be positive when given")
+        if self.time_budget is not None:
+            _positive_real(self.time_budget, "time_budget")
         if self.algo not in ("gh", "ggx"):
             raise ValueError(f"algo must be 'gh' or 'ggx', got {self.algo!r}")
 
@@ -213,30 +213,20 @@ def subproblem_args(d, incumbent, C: int, delta: int):
 def solve_subproblem(d: np.ndarray, incumbent, C: int, delta: int) -> frozenset:
     """Maximize sum of d over selections of size C within symmetric difference delta.
 
-    Picks the delta/2 smallest coefficients inside the incumbent and the
-    delta/2 largest outside, evaluates the cumulative gain gamma(t) of
-    swapping the first t of each, and applies the best prefix.  Always
-    proposes at least one swap; the caller decides whether the true objective
-    improves.  Ties: gamma ties go to the smallest t, coefficient ties to the
-    smallest index.
+    Pairs the delta/2 largest coefficients outside the incumbent, descending,
+    with the delta/2 smallest inside, ascending.  The increments
+    ``d[add_k] - d[drop_k]`` never increase, so the gain of swapping the first
+    t pairs is concave in t and first peaks at t* = #{k : d[add_k] > d[drop_k]},
+    found by exact float comparisons.  At least one pair is swapped; the caller
+    decides whether the true objective improves.  Ties: equal gains go to the
+    smallest t, equal coefficients to the smallest index.
     """
     d, inside, half = subproblem_args(d, incumbent, C, delta)
     outside = np.setdiff1d(np.arange(d.size, dtype=np.intp), inside, assume_unique=True)
     drop = _k_smallest(d[inside], inside, half)
     add = _k_smallest(-d[outside], outside, half)  # the largest d, largest first
-    # cumulative swap gains in exact rational arithmetic: prefix sums of float
-    # coefficients are order-dependent at the last ulp, which would make
-    # mathematically tied region sizes compare inconsistently
-    gamma = []
-    acc = Fraction(0)
-    for a, r in zip(add.tolist(), drop.tolist()):
-        acc += Fraction(float(d[a])) - Fraction(float(d[r]))
-        gamma.append(acc)
-    t_star = max(range(half), key=lambda t: (gamma[t], -t)) + 1  # gain ties: smallest t
-    result = set(inside.tolist())
-    result.difference_update(drop[:t_star].tolist())
-    result.update(add[:t_star].tolist())
-    return frozenset(result)
+    t_star = max(1, np.count_nonzero(d[add] > d[drop]))
+    return frozenset(inside.tolist()).difference(drop[:t_star].tolist()).union(add[:t_star].tolist())
 
 
 def _climb(ev, start, cfg, deadline, propose):

@@ -707,3 +707,33 @@ def test_one_count_contract(rng, entry, case):
     inst = dense_random(rng, zones=5, m=6, nested=True)
     with pytest.raises(error, match=pattern):
         COUNT_ENTRY_POINTS[entry](inst, value)
+
+
+# Every real-valued parameter, each built with the value under test
+REAL_ENTRY_POINTS = {
+    "SolverConfig-time_budget": lambda v: SolverConfig(C=2, time_budget=v),
+    **{f"GeneratorParams-{name}": lambda v, name=name: GeneratorParams(zones=3, locations=3, **{name: v})
+       for name in ("alpha", "beta", "plane_side")},
+    "MmnlParams-theta": lambda v: MmnlParams(theta=v, samples=2),
+}
+BAD_REALS = {  # name: (value, error, pattern ending its message)
+    "bool": (True, TypeError, r"must be a real number, got True$"),
+    "np.bool": (np.True_, TypeError, r"must be a real number, got (True|np\.True_)$"),
+    "str": ("5", TypeError, r"must be a real number, got '5'$"),
+    "zero": (0, ValueError, r"must be positive and finite$"),
+    "negative": (-1.5, ValueError, r"must be positive and finite$"),
+    "inf": (np.inf, ValueError, r"must be positive and finite$"),
+    "nan": (np.nan, ValueError, r"must be positive and finite$"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REALS)
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_one_real_contract(entry, case):
+    # a bool would run as 1.0, a string fail with a bare comparison error, and an
+    # infinite time budget would be a second spelling of None
+    value, error, pattern = BAD_REALS[case]
+    with pytest.raises(error, match=f"{entry.split('-')[1]} {pattern}"):
+        REAL_ENTRY_POINTS[entry](value)
+    for good in (2, 0.5, np.float64(2.0), np.int64(3)):
+        REAL_ENTRY_POINTS[entry](good)

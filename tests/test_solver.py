@@ -207,9 +207,16 @@ class TestSubproblem:
         assert solve_subproblem(d, np.array([0, 1]), np.int64(2), 2) == frozenset({0, 2})
 
     def test_wider_region_prefers_better_prefix(self):
-        d = np.array([5.0, 1.0, 4.0, 2.0])
-        # gamma(1) = 3 beats gamma(2) = 0, so only one swap happens
-        assert solve_subproblem(d, {0, 1}, 2, 4) == frozenset({0, 2})
+        for d, expected in [
+            # gamma(1) = 3 beats gamma(2) = 0, so only one swap happens
+            ([5.0, 1.0, 4.0, 2.0], {0, 2}),
+            # the second pair gains 1, which a float prefix sum loses (1e16 + 1 == 1e16)
+            ([0.0, 1.0, 1e16, 2.0], {2, 3}),
+            # a zero increment after a positive one: the tie goes to fewer swaps
+            ([0.0, 1.0, 3.0, 1.0], {1, 2}),
+        ]:
+            assert solve_subproblem(np.array(d), {0, 1}, 2, 4) == frozenset(expected)
+            assert brute_force_subproblem(np.array(d), {0, 1}, 2, 4) == frozenset(expected)
 
     def test_all_tied_coefficients(self):
         # gamma(1) = 0: a swap is still proposed, picking the smallest outside index
@@ -245,7 +252,7 @@ class TestSubproblem:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("delta", [2, 4])
     def test_non_finite_coefficients_rejected(self, bad, delta):
-        # unchecked, delta 2 returns an arbitrary selection and delta 4 a bare Fraction error
+        # unchecked, most return an arbitrary selection; nan at delta 4 a bare numpy broadcast error
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             solve_subproblem(np.array([bad, 1.0, 2.0, 3.0]), {0, 1}, 2, delta)
 
