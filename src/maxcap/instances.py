@@ -385,7 +385,11 @@ def read_instance(path) -> Instance:
         n, values = _section(reader, "mu")
         mu = _parse_floats(reader, n, values, n_nests, "mu")
         n, values = _section(reader, "nest")
-        nest = np.array([_parse_count(reader, n, t, "nest index") - 1 for t in values])
+        nest = np.array([_parse_count(reader, n, t, "nest index") for t in values])
+        over = nest[nest > n_nests]
+        if over.size:
+            reader.fail(n, f"nest index {over[0]} exceeds the nest count {n_nests}")
+        nest -= 1
     else:
         reader.fail(n, f"unsupported model '{tag}'")
 

@@ -255,10 +255,11 @@ class IncrementalEvaluator:
     """Exact move pricing against one cached selection, for one solver run.
 
     Attractions raised to the nest's ``mu`` are stored location-major: one
-    C-contiguous ``(locations in nest, zones)`` block per nest, in
+    C-contiguous ``(locations in nest, zones)`` block per nest, its rows in
     ``nest_cols`` order, unpowered where ``mu = 1`` (multinomial logit is one
-    such nest); the blocks are stacked in one ``(m, zones)`` array, nest
-    after nest.  Phase 2 gathers raw attractions from ``Y``.  The cached state is
+    such nest).  The cached ``dG`` blocks share this layout, and each
+    block's results are scattered to location order through its
+    ``nest_cols`` entry.  Phase 2 gathers raw attractions from ``Y``.  The cached state is
     the selection's per-nest power sums ``T``, their roots
     ``V = T ** (1/mu)``, the zone values ``G = sum_l V_l`` and
     ``f = sum q G / (1 + G)``.  Opening location ``t`` of nest ``l`` raises
@@ -276,9 +277,9 @@ class IncrementalEvaluator:
     nest's ``dG`` block is the same for all swap scans at one selection:
     the blocks at the current state are computed on first use after a
     ``reset`` and kept until the next one, and a swap scan recomputes nest
-    ``lo`` of ``j_out`` alone.  The cache is one ``(m, zones)`` array
-    stacked as the attractions, unless every nest has ``mu = 1``: then
-    ``dG`` is the stored array itself.  State belongs to a single
+    ``lo`` of ``j_out`` alone.  The cache holds one block per nest: a
+    ``mu = 1`` nest's ``dG`` is its stored block itself, so only the other
+    nests take memory.  State belongs to a single
     run; it is not shared across threads.  ``reset`` rebuilds the state
     from scratch, and the solver prices every proposal with it, so no drift
     enters the accepted trajectory.
@@ -297,20 +298,13 @@ class IncrementalEvaluator:
         else:
             raise TypeError("incremental evaluation supports the bundled models only")
         self._inv_mu = 1.0 / self._mu
-        starts = np.cumsum([0] + [cols.size for cols in self._cols])
-        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]  # nest l's rows in a stacked array
-        self._order = np.concatenate(self._cols)  # the location of each stacked row
-        # row r of block l is location cols_l[r] across all zones, raised to mu_l;
-        # the blocks are views of one (m, zones) array, stacked in nest order
-        self._Yps = self.Y.T[self._order]
-        self._Ypb = [self._Yps[rows] for rows in self._rows]
+        # row r of block l is location cols_l[r] across all zones, raised to mu_l
+        self._Ypb = [self.Y.T[cols] for cols in self._cols]
         for yp, mu in zip(self._Ypb, self._mu):
             if mu != 1.0:
                 yp **= mu
         # two rows at least: swap_upper_bounds holds a gather of columns and a temporary in it
         self._buf = np.empty((max(2, *(cols.size for cols in self._cols)), self.Y.shape[0]))
-        # a nest with mu != 1 computes a swap scan's dG into a second scratch block
-        self._scratch = np.empty_like(self._buf) if np.any(self._mu != 1.0) else None
         self.reset(())
 
     # -- state ---------------------------------------------------------------
@@ -333,35 +327,27 @@ class IncrementalEvaluator:
 
     # -- candidate pricing ---------------------------------------------------
 
-    def _dg(self, l: int, yp: np.ndarray, sums: np.ndarray, roots: np.ndarray, out) -> np.ndarray:
+    def _dg(self, l: int, yp: np.ndarray, sums: np.ndarray, roots: np.ndarray) -> np.ndarray:
         """dG of opening each row of ``yp`` (nest l) on the nest state (sums, roots).
 
-        Written into the leading rows of ``out``, unless ``mu_l = 1``.
+        ``yp`` itself when ``mu_l = 1``, otherwise a new block.
         """
         if self._mu[l] == 1.0:
             return yp
-        out = np.add(yp, sums, out=out[:len(yp)])
-        out **= self._inv_mu[l]
-        out -= roots
-        return out
+        dg = yp + sums
+        dg **= self._inv_mu[l]
+        dg -= roots
+        return dg
 
-    def _state_dgs(self) -> np.ndarray:
-        """Every location's dG at the current state, stacked as ``_Yps``; computed once per ``reset``."""
+    def _state_dgs(self) -> list:
+        """Every nest's dG block at the current state, laid out as ``_Ypb``; computed once per ``reset``.
+
+        A ``mu = 1`` nest's entry is its stored attraction block itself, any
+        other nest's a new block, so the cache copies no attractions.
+        """
         if self._dgs is None:
-            if self._scratch is None:  # every nest has mu = 1, so dG is the stored block itself
-                self._dgs = self._Yps
-            else:  # one (m, zones) array, so a reset frees it whole
-                self._dgs = np.empty_like(self._Yps)
-                for l, (rows, yp, t, v) in enumerate(zip(self._rows, self._Ypb, self._T, self._V)):
-                    if self._mu[l] == 1.0:
-                        self._dgs[rows] = yp
-                    else:
-                        self._dg(l, yp, t, v, self._dgs[rows])
+            self._dgs = [self._dg(l, yp, t, v) for l, (yp, t, v) in enumerate(zip(self._Ypb, self._T, self._V))]
         return self._dgs
-
-    def _blocks(self, stacked: np.ndarray) -> list:
-        """The per-nest row blocks of an array stacked as ``_Yps``."""
-        return [stacked[rows] for rows in self._rows]
 
     def _price(self, dg: np.ndarray, opg: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_i w_i * dG_i / (opg_i + dG_i) for each row of dg."""
@@ -405,13 +391,13 @@ class IncrementalEvaluator:
         nests = self._nest_of[cols]
         for l in sorted(set(nests.tolist())):
             pick = nests == l
-            yp = self._Ypb[l][np.searchsorted(self._cols[l], cols[pick])]  # a copy: dG may overwrite it
-            gains[pick] = self._price(self._dg(l, yp, self._T[l], self._V[l], yp), opg, self._w)
+            yp = self._Ypb[l][np.searchsorted(self._cols[l], cols[pick])]
+            gains[pick] = self._price(self._dg(l, yp, self._T[l], self._V[l]), opg, self._w)
         return gains
 
     def objectives_with_additions(self) -> np.ndarray:
         """f(S + j) for every location j; -inf at already-selected entries."""
-        vals = self._f + self._gains(self._blocks(self._state_dgs()), self._G)
+        vals = self._f + self._gains(self._state_dgs(), self._G)
         vals[self._in] = -np.inf
         return vals
 
@@ -421,8 +407,8 @@ class IncrementalEvaluator:
         if not self._in[j_out]:
             raise ValueError(f"location {j_out} is not selected")
         lo, sums, roots, g_base, loss = self._without(j_out)
-        dgs = self._blocks(self._state_dgs())
-        dgs[lo] = self._dg(lo, self._Ypb[lo], sums, roots, self._scratch)
+        dgs = list(self._state_dgs())
+        dgs[lo] = self._dg(lo, self._Ypb[lo], sums, roots)
         vals = (self._f - loss) + self._gains(dgs, g_base)
         vals[self._in] = -np.inf
         return vals
@@ -466,7 +452,7 @@ class IncrementalEvaluator:
         lazy slack.
         """
         bounds = np.full(self.m, -np.inf)
-        outside = ~self._in[self._order]  # stacked rows, like the dG cache's
+        outside = ~self._in
         if not outside.any():
             return bounds  # no swap to bound
         selected = np.flatnonzero(self._in)
@@ -477,7 +463,7 @@ class IncrementalEvaluator:
         slack = 8.0 * (self.q.size + 8) * np.finfo(float).eps * self.q.sum()
         opg = 1.0 + self._G
         state = self._state_dgs()
-        grown = (1.0 + _RHO_EXACT) * self._gains(self._blocks(state), self._G)[self._order]  # every term at its cap
+        grown = (1.0 + _RHO_EXACT) * self._gains(state, self._G)  # every term at its cap
         flat = self._buf.reshape(-1)
         for j in selected[unit]:
             *_, g_base, loss = self._without(j)
@@ -486,16 +472,17 @@ class IncrementalEvaluator:
                 rho = np.maximum(opg / opg_j, 1.0) ** 2
             z = np.flatnonzero(rho > 1.0 + _RHO_EXACT)
             ub = grown.copy()
-            if z.size:  # in chunks of rows (one at least) whose Z columns and one temporary fit in _buf
+            if z.size:  # in chunks of a block's rows (one at least) whose Z columns and one temporary fit in _buf
                 opgj_z, wj_z, opg_z, w_z = opg_j[z], self.q[z] / opg_j[z], opg[z], self._w[z]
                 step = self._buf.size // (2 * z.size)
-                for r in range(0, self.m, step):
-                    cells = min(step, self.m - r) * z.size
-                    dz = flat[:cells].reshape(-1, z.size)
-                    buf = flat[cells:2 * cells].reshape(dz.shape)
-                    np.take(state[r:r + step], z, axis=1, out=dz, mode="clip")  # z is in range
-                    ub[r:r + step] += _price_rows(dz, opgj_z, wj_z, buf)
-                    ub[r:r + step] -= (1.0 + _RHO_EXACT) * _price_rows(dz, opg_z, w_z, buf)
+                for cols, dg in zip(self._cols, state):
+                    for r in range(0, cols.size, step):
+                        at = cols[r:r + step]
+                        dz = flat[:at.size * z.size].reshape(at.size, z.size)
+                        buf = flat[dz.size:2 * dz.size].reshape(dz.shape)
+                        np.take(dg[r:r + step], z, axis=1, out=dz, mode="clip")  # z is in range
+                        ub[at] += _price_rows(dz, opgj_z, wj_z, buf)
+                        ub[at] -= (1.0 + _RHO_EXACT) * _price_rows(dz, opg_z, w_z, buf)
             bounds[j] = (self._f - loss) + ub[outside].max() + slack
         return bounds
 

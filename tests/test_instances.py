@@ -496,6 +496,16 @@ class TestFileFormat:
         with pytest.raises(FormatError, match=r"n\.mcp: nest assignment has 3 entries, expected 2$"):
             read_instance(path)
 
+    def test_nest_index_above_count_names_line(self, tmp_path):
+        # the file's nest indices are 1-based, and so is the message
+        path = tmp_path / "n.mcp"
+        path.write_text(
+            "MCP 1\nmodel nested 2\nmu 1.1 1.2\nnest 1 2 3 1\nm 4\nzones 1\nq 1\nY\n1 1 1 1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match=r"n\.mcp:4: nest index 3 exceeds the nest count 2$"):
+            read_instance(path)
+
 
 # every finite non-negative bit pattern up to about 5e303, where q * G cannot
 # overflow for m <= 4, plus negative zero

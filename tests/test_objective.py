@@ -22,6 +22,7 @@ from maxcap import (
     check_monotonicity,
     check_submodularity,
     check_subproblem,
+    generate_euclidean,
     ggx,
     objective,
     objective_gradient,
@@ -593,6 +594,15 @@ class TestEvaluatorMemory:
         inst = planar(zones=400, m=60, beta=5.0, seed=1, nested=nested)
         _, peak = self.traced(lambda i: ggx(i, SolverConfig(C=10)), inst)
         assert peak <= bound
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_run_peak_mixed_mu(self, interleaved):
+        # the dG cache holds no copy of the mu = 1 nest's block
+        m, mu = 60, (1.0, 1.3, 1.5)
+        model = NestedLogit([j % 3 for j in range(m)], mu) if interleaved else assign_nests(m, 3, mu)
+        params = GeneratorParams(zones=400, locations=m, competitors=5, alpha=0.1, beta=5.0, seed=1)
+        _, peak = self.traced(lambda i: ggx(i, SolverConfig(C=10)), generate_euclidean(params, model))
+        assert peak <= 3.15
 
 
 class TestInstanceValidation:
