@@ -174,11 +174,11 @@ _CHUNK_CELLS = 1 << 16
 _RHO_EXACT = 1e-3
 
 
-def _price_rows(dg: np.ndarray, opg: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """sum_i w_i * dg_i / (opg_i + dg_i) for each row of dg; ``buf``, of dg's shape, is overwritten."""
-    np.add(dg, opg, out=buf)
-    np.divide(dg, buf, out=buf)
-    return buf @ w
+def _price_rows(dg: np.ndarray, opg: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i * dg_i / (opg_i + dg_i) for each row of dg."""
+    t = dg + opg
+    np.divide(dg, t, out=t)
+    return t @ w
 
 
 def _per_point(inst: Instance, x, price):
@@ -279,7 +279,9 @@ class IncrementalEvaluator:
     ``reset`` and kept until the next one, and a swap scan recomputes nest
     ``lo`` of ``j_out`` alone.  The cache holds one block per nest: a
     ``mu = 1`` nest's ``dG`` is its stored block itself, so only the other
-    nests take memory.  State belongs to a single
+    nests take memory.  These powered blocks and the ``dG`` cache are all
+    the evaluator holds besides per-zone vectors: each scan allocates its
+    own pricing temporary.  State belongs to a single
     run; it is not shared across threads.  ``reset`` rebuilds the state
     from scratch, and the solver prices every proposal with it, so no drift
     enters the accepted trajectory.
@@ -303,8 +305,6 @@ class IncrementalEvaluator:
         for yp, mu in zip(self._Ypb, self._mu):
             if mu != 1.0:
                 yp **= mu
-        # two rows at least: swap_upper_bounds holds a gather of columns and a temporary in it
-        self._buf = np.empty((max(2, *(cols.size for cols in self._cols)), self.Y.shape[0]))
         self.reset(())
 
     # -- state ---------------------------------------------------------------
@@ -349,10 +349,6 @@ class IncrementalEvaluator:
             self._dgs = [self._dg(l, yp, t, v) for l, (yp, t, v) in enumerate(zip(self._Ypb, self._T, self._V))]
         return self._dgs
 
-    def _price(self, dg: np.ndarray, opg: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i * dG_i / (opg_i + dG_i) for each row of dg."""
-        return _price_rows(dg, opg, w, self._buf[:dg.shape[0]])
-
     def _gains(self, dgs, g_base: np.ndarray) -> np.ndarray:
         """f(state + j) - f(state) for every location j, from per-nest dG blocks.
 
@@ -363,7 +359,7 @@ class IncrementalEvaluator:
         w = self.q / opg
         gains = np.empty(self.m)
         for cols, dg in zip(self._cols, dgs):
-            gains[cols] = self._price(dg, opg, w)
+            gains[cols] = _price_rows(dg, opg, w)
         return gains
 
     def _without(self, j: int):
@@ -392,7 +388,7 @@ class IncrementalEvaluator:
         for l in sorted(set(nests.tolist())):
             pick = nests == l
             yp = self._Ypb[l][np.searchsorted(self._cols[l], cols[pick])]
-            gains[pick] = self._price(self._dg(l, yp, self._T[l], self._V[l]), opg, self._w)
+            gains[pick] = _price_rows(self._dg(l, yp, self._T[l], self._V[l]), opg, self._w)
         return gains
 
     def objectives_with_additions(self) -> np.ndarray:
@@ -464,7 +460,6 @@ class IncrementalEvaluator:
         opg = 1.0 + self._G
         state = self._state_dgs()
         grown = (1.0 + _RHO_EXACT) * self._gains(state, self._G)  # every term at its cap
-        flat = self._buf.reshape(-1)
         for j in selected[unit]:
             *_, g_base, loss = self._without(j)
             opg_j = 1.0 + g_base
@@ -472,17 +467,12 @@ class IncrementalEvaluator:
                 rho = np.maximum(opg / opg_j, 1.0) ** 2
             z = np.flatnonzero(rho > 1.0 + _RHO_EXACT)
             ub = grown.copy()
-            if z.size:  # in chunks of a block's rows (one at least) whose Z columns and one temporary fit in _buf
+            if z.size:
                 opgj_z, wj_z, opg_z, w_z = opg_j[z], self.q[z] / opg_j[z], opg[z], self._w[z]
-                step = self._buf.size // (2 * z.size)
                 for cols, dg in zip(self._cols, state):
-                    for r in range(0, cols.size, step):
-                        at = cols[r:r + step]
-                        dz = flat[:at.size * z.size].reshape(at.size, z.size)
-                        buf = flat[dz.size:2 * dz.size].reshape(dz.shape)
-                        np.take(dg[r:r + step], z, axis=1, out=dz, mode="clip")  # z is in range
-                        ub[at] += _price_rows(dz, opgj_z, wj_z, buf)
-                        ub[at] -= (1.0 + _RHO_EXACT) * _price_rows(dz, opg_z, w_z, buf)
+                    dz = np.take(dg, z, axis=1, mode="clip")  # z is in range
+                    ub[cols] += _price_rows(dz, opgj_z, wj_z)
+                    ub[cols] -= (1.0 + _RHO_EXACT) * _price_rows(dz, opg_z, w_z)
             bounds[j] = (self._f - loss) + ub[outside].max() + slack
         return bounds
 
@@ -511,10 +501,10 @@ class IncrementalEvaluator:
             s = self._T[l]
             live = s > 0.0
             # where the nest is empty every member has the limit slope 1; where
-            # it is live only selected members have one, y^(mu-1) T^(1/mu-1)
+            # it is live only selected members have one, y^(mu-1) T^(1/mu-1), taken
+            # as (y^mu / T) V: y^mu / T <= 1, so a subnormal T cannot overflow it
             d[cols] = self.Y.T[cols] @ np.where(live, 0.0, weight)
-            slope = np.zeros_like(s)
-            slope[live] = weight[live] * s[live] ** (self._inv_mu[l] - 1.0)
             sel = self._in[cols]
-            d[cols[sel]] += yp[sel] @ slope
+            share = np.divide(yp[sel], s, out=np.zeros((sel.sum(), s.size)), where=live)
+            d[cols[sel]] += share @ (weight * self._V[l])
         return d
